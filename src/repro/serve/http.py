@@ -55,6 +55,9 @@ _STATUS_MESSAGES = {499: "Client Closed Request"}
 class TetraServeHandler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     server_version = f"tetra-serve/{__version__}"
+    # TCP_NODELAY: writes that must stay separate (stream events,
+    # WebSocket frames) leave at once, not after the client's next ACK.
+    disable_nagle_algorithm = True
 
     # The default handler logs every request to stderr; keep the server
     # quiet unless the operator asked for chatter.
@@ -89,6 +92,17 @@ class TetraServeHandler(BaseHTTPRequestHandler):
             raise ServeError(400, "request body is not valid JSON") \
                 from None
 
+    def _send_head(self, data: bytes) -> None:
+        """End the buffered response head and send it together with
+        ``data`` in one write.  A head and body sent apart let Nagle hold
+        the body until the client's delayed ACK: about 40 ms per request
+        on a keep-alive connection."""
+        head = getattr(self, "_headers_buffer", [])
+        if self.request_version != "HTTP/0.9":  # 0.9 replies have no head
+            head.append(b"\r\n")
+        self._headers_buffer = []
+        self.wfile.write(b"".join(head) + data)
+
     def _send_json(self, status: int, payload: dict,
                    retry_after: float | None = None) -> None:
         body = json.dumps(payload).encode("utf-8")
@@ -98,8 +112,7 @@ class TetraServeHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         if retry_after is not None:
             self.send_header("Retry-After", f"{max(1, round(retry_after))}")
-        self.end_headers()
-        self.wfile.write(body)
+        self._send_head(body)
 
     def _send_error_json(self, exc: ServeError) -> None:
         self._send_json(exc.status, {"error": exc.message},
@@ -189,18 +202,15 @@ class TetraServeHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Cache-Control", "no-store")
         self.send_header("Connection", "close")
-        self.end_headers()
-        self.close_connection = True
 
-        def emit(event: dict) -> None:
-            self.wfile.write(json.dumps(event).encode("utf-8") + b"\n")
-            self.wfile.flush()
+        def line(event: dict) -> bytes:
+            return json.dumps(event).encode("utf-8") + b"\n"
 
         start = {"type": "start", "id": handle.id}
         if handle.dedup:
             start["dedup"] = handle.dedup
         try:
-            emit(start)
+            self._send_head(line(start))
             while True:
                 try:
                     kind, payload = handle.events.get(timeout=0.25)
@@ -219,13 +229,13 @@ class TetraServeHandler(BaseHTTPRequestHandler):
                         except OSError:
                             pass
                         raise BrokenPipeError
-                    emit({"type": "out", "text": payload})
+                    self.wfile.write(line({"type": "out", "text": payload}))
                 else:
                     payload = dict(payload)
                     payload["id"] = handle.id
                     payload["http_status"] = payload.get("http_status") \
                         or http_status_for_exit(payload["exit_code"])
-                    emit({"type": "done", **payload})
+                    self.wfile.write(line({"type": "done", **payload}))
                     return
         except (BrokenPipeError, ConnectionResetError, OSError):
             # The client hung up mid-stream: free its sandbox slot.
@@ -322,6 +332,9 @@ class TetraServer(ThreadingHTTPServer):
 
     daemon_threads = True
     allow_reuse_address = True
+    # socketserver's default backlog of 5 drops the SYNs of a burst of
+    # simultaneous connects, and the client retries only after 1 s.
+    request_queue_size = 128
 
     def __init__(self, address, service: ExecutionService,
                  verbose: bool = False):

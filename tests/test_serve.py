@@ -4,12 +4,16 @@ pool, service, and the HTTP/WebSocket transport under concurrency."""
 from __future__ import annotations
 
 import http.client
+import io
 import json
 import os
+import queue
 import signal
 import socket
+import statistics
 import threading
 import time
+import types
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
@@ -35,10 +39,12 @@ from repro.serve import (
     validate_request,
 )
 from repro.serve import ws as ws_mod
+from repro.serve.http import TetraServeHandler
 
 HELLO = 'def main():\n    print("hello")\n'
 COUNT = "def main():\n    for i in [0 ... 3]:\n        print(i)\n"
 SPIN = "def main():\n    x = 0\n    while true:\n        x = x + 1\n"
+SPIN_LOUD = SPIN.replace("x = 0", 'print("spinning")\n    x = 0')
 NOISY = 'def main():\n    while true:\n        print("aaaaaaaaaa")\n'
 RACY = (
     "def main():\n"
@@ -380,11 +386,12 @@ class TestExecutionService:
         assert service.cancel("r0-ffffff") is False
 
     def test_crashed_worker_does_not_poison_the_pool(self, service):
-        handle = service.submit({"source": SPIN, "time_limit": 25.0,
+        handle = service.submit({"source": SPIN_LOUD, "time_limit": 25.0,
                                  "step_limit": 500_000_000})
-        deadline = time.monotonic() + 5.0
-        while handle.worker_pid is None and time.monotonic() < deadline:
-            time.sleep(0.01)
+        # Kill only once the program itself has run: a death before the
+        # worker's start-ack is infrastructure, retried silently.
+        kind, _ = handle.events.get(timeout=10.0)
+        assert kind == "out"
         os.kill(handle.worker_pid, signal.SIGKILL)  # simulate an OOM kill
         result = handle.wait(10.0)
         assert result["exit_code"] == EXIT_ERROR
@@ -485,18 +492,21 @@ class TestExecutionService:
 # ----------------------------------------------------------------------
 # HTTP + WebSocket transport
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def server():
-    svc = ExecutionService(_cfg())
+def _live_server(config: ServeConfig):
+    svc = ExecutionService(config)
     srv = TetraServer(("127.0.0.1", 0), svc)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)
     thread.start()
-    host, port = srv.server_address[:2]
-    yield host, port
+    yield srv.server_address[:2]
     srv.shutdown()
     srv.server_close()
     svc.shutdown()
     thread.join(timeout=5.0)
+
+
+@pytest.fixture(scope="module")
+def server():
+    yield from _live_server(_cfg())
 
 
 def _post(server, path, payload, tenant=None):
@@ -625,6 +635,155 @@ class TestHTTP:
         for i, (status, body) in enumerate(results):
             assert status == 200
             assert body["output"] == f"{i}\n"
+
+
+@pytest.fixture(scope="module")
+def cached_server():
+    """A live server with the result cache on, so repeats skip the pool."""
+    yield from _live_server(_cfg(workers=1, result_cache_size=64))
+
+
+class _StubService:
+    """Just enough of ExecutionService for the transport: canned answers."""
+
+    chaos = None
+
+    def __init__(self, draining=False, result=None, handle=None):
+        self.draining = draining
+        self.config = ServeConfig()
+        self._result = result
+        self._handle = handle
+
+    def run(self, request, tenant):
+        return dict(self._result)
+
+    def submit(self, request, tenant):
+        return self._handle
+
+
+class _RecordingSocket:
+    """A connected-socket stand-in: reads one canned request and records
+    every write the handler makes."""
+
+    def __init__(self, request: bytes):
+        self._request = io.BytesIO(request)
+        self.writes: list[bytes] = []
+        self.options: list[tuple] = []
+
+    def makefile(self, mode, bufsize=-1):
+        return self._request
+
+    def sendall(self, data):
+        self.writes.append(bytes(data))
+
+    def setsockopt(self, *option):
+        self.options.append(option)
+
+
+def _serve_one(request: bytes, service) -> _RecordingSocket:
+    sock = _RecordingSocket(request)
+    server = types.SimpleNamespace(service=service, verbose=False)
+    TetraServeHandler(sock, ("127.0.0.1", 0), server)
+    return sock
+
+
+def _raw_request(method: str, path: str, payload=None) -> bytes:
+    body = b"" if payload is None else json.dumps(payload).encode("utf-8")
+    return (f"{method} {path} HTTP/1.1\r\nHost: tetra\r\n"
+            f"Content-Length: {len(body)}\r\n\r\n").encode("ascii") + body
+
+
+class TestTransport:
+    @pytest.mark.parametrize("method, path, service, status", [
+        ("GET", "/healthz", _StubService(), 200),
+        ("POST", "/api/run", _StubService(result={"exit_code": 1}), 422),
+        ("GET", "/nope", _StubService(), 404),
+        ("GET", "/healthz", _StubService(draining=True), 503),
+        ("POST", "/api/run", _StubService(result={"exit_code": 130}), 499),
+    ])
+    def test_each_json_reply_is_one_write(self, method, path, service,
+                                          status):
+        payload = {"source": HELLO} if method == "POST" else None
+        sock = _serve_one(_raw_request(method, path, payload), service)
+        assert len(sock.writes) == 1
+        assert (socket.IPPROTO_TCP, socket.TCP_NODELAY, True) \
+            in sock.options
+        head, _, body = sock.writes[0].partition(b"\r\n\r\n")
+        lines = head.decode("latin-1").split("\r\n")
+        assert lines[0].startswith(f"HTTP/1.1 {status} ")
+        headers = dict(line.split(": ", 1) for line in lines[1:])
+        assert int(headers["Content-Length"]) == len(body)
+        json.loads(body)
+        if status == 503:
+            assert headers["Retry-After"] == "30"
+
+    def test_http09_reply_is_the_bare_body(self):
+        sock = _serve_one(b"GET /healthz\r\n", _StubService())
+        assert len(sock.writes) == 1
+        assert json.loads(sock.writes[0])["ok"] is True
+
+    def test_stream_head_and_start_event_share_one_write(self):
+        handle = types.SimpleNamespace(id="r1", dedup=None,
+                                       events=queue.Queue())
+        handle.events.put(("out", "hi\n"))
+        handle.events.put(("done", {"exit_code": 0}))
+        sock = _serve_one(
+            _raw_request("POST", "/api/stream", {"source": HELLO}),
+            _StubService(handle=handle))
+        first = sock.writes[0]
+        assert first.startswith(b"HTTP/1.1 200 ")
+        head, _, start = first.partition(b"\r\n\r\n")
+        assert json.loads(start) == {"type": "start", "id": "r1"}
+        events = [json.loads(w) for w in sock.writes[1:]]
+        assert [e["type"] for e in events] == ["out", "done"]
+
+    def test_keep_alive_requests_do_not_stall(self, cached_server):
+        # A reply split over two writes waits ~40 ms per request on a
+        # persistent connection: Nagle holds it for the delayed ACK.
+        host, port = cached_server
+        conn = http.client.HTTPConnection(host, port, timeout=30)
+        run = json.dumps({"source": HELLO}).encode("utf-8")
+
+        def timed(method, path, body=None):
+            began = time.perf_counter()
+            conn.request(method, path, body)
+            resp = conn.getresponse()
+            resp.read()
+            assert resp.status == 200
+            return time.perf_counter() - began
+
+        timed("POST", "/api/run", run)  # executes once, fills the cache
+        sock = conn.sock
+        health = [timed("GET", "/healthz") for _ in range(30)]
+        runs = [timed("POST", "/api/run", run) for _ in range(30)]
+        assert conn.sock is sock  # one connection throughout
+        conn.close()
+        assert statistics.median(health) < 0.010
+        assert statistics.median(runs) < 0.010
+        assert _get(cached_server, "/api/stats")[1]["dedup"]["cache_hits"] \
+            >= 30
+
+    def test_listen_backlog_absorbs_a_connect_burst(self):
+        # Nothing accepts, so every connect must fit in the listen queue;
+        # socketserver's default of 5 drops SYNs, retried only after 1 s.
+        srv = TetraServer(("127.0.0.1", 0), service=None)
+        address = srv.server_address[:2]
+
+        def connect(_):
+            try:
+                return socket.create_connection(address, timeout=0.5)
+            except OSError:
+                return None
+
+        try:
+            with ThreadPoolExecutor(max_workers=32) as pool:
+                conns = list(pool.map(connect, range(32)))
+        finally:
+            srv.server_close()
+        for conn in conns:
+            if conn is not None:
+                conn.close()
+        assert conns.count(None) == 0
 
 
 class TestWebSocket:
