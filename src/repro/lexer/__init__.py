@@ -1,4 +1,4 @@
-"""Lexical analysis for Tetra: hand-written, indentation-aware.
+"""Lexical analysis for Tetra: a master regex and a hand-written indent tracker.
 
 Public surface:
 

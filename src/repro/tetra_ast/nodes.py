@@ -15,6 +15,7 @@ inferred types.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass, field, fields
 
 from ..source import NO_SPAN, Span
@@ -58,6 +59,13 @@ class UnaryOp(enum.Enum):
     NOT = "not"
 
 
+@functools.cache
+def _fields_without_span(cls: type) -> tuple[str, ...]:
+    """Field names of the node class ``cls`` except ``span``, computed once
+    per class: ``dataclasses.fields`` rebuilds its answer on every call."""
+    return tuple(f.name for f in fields(cls) if f.name != "span")
+
+
 @dataclass(eq=False)
 class Node:
     """Base class of every AST node."""
@@ -66,8 +74,8 @@ class Node:
 
     def children(self):
         """Yield all direct child nodes (used by generic walkers)."""
-        for f in fields(self):
-            value = getattr(self, f.name)
+        for name in _fields_without_span(type(self)):
+            value = getattr(self, name)
             if isinstance(value, Node):
                 yield value
             elif isinstance(value, (list, tuple)):
@@ -450,9 +458,6 @@ class Program(Node):
 # ----------------------------------------------------------------------
 # Structural comparison and traversal
 # ----------------------------------------------------------------------
-_IGNORED_FIELDS = {"span"}
-
-
 def node_equal(a: object, b: object) -> bool:
     """Structural equality ignoring spans and inferred types.
 
@@ -461,12 +466,8 @@ def node_equal(a: object, b: object) -> bool:
     if isinstance(a, Node) or isinstance(b, Node):
         if type(a) is not type(b):
             return False
-        for f in fields(a):  # type: ignore[arg-type]
-            if f.name in _IGNORED_FIELDS:
-                continue
-            if not node_equal(getattr(a, f.name), getattr(b, f.name)):
-                return False
-        return True
+        return all(node_equal(getattr(a, name), getattr(b, name))
+                   for name in _fields_without_span(type(a)))
     if isinstance(a, (list, tuple)) and isinstance(b, (list, tuple)):
         return len(a) == len(b) and all(node_equal(x, y) for x, y in zip(a, b))
     return a == b

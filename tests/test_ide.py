@@ -60,6 +60,12 @@ class TestHighlight:
         text = "# fine\ndef broken(((\n"
         assert "# fine" in styles_of(text, Style.COMMENT)
 
+    def test_non_ascii_digit_still_highlights_comments(self):
+        # '²'.isdigit() is true; the scanner once passed it to int(), and
+        # the ValueError escaped the highlighter's TetraError handler.
+        text = "# fine\nx = 2²\n"
+        assert "# fine" in styles_of(text, Style.COMMENT)
+
     def test_render_ansi_roundtrip_text(self):
         text = FIGURE_1_FACTORIAL
         rendered = render_ansi(text)

@@ -61,6 +61,25 @@ class TestBasicTokens:
         with pytest.raises(TetraSyntaxError, match="unexpected character"):
             tokenize("x = 1 @ 2")
 
+    @pytest.mark.parametrize("text, column", [
+        ("x = 2²\n", 6),  # '²'.isdigit() is true; int('2²') raised ValueError
+        ("x = ٣\n", 5),   # an Arabic-Indic digit
+        ("é = 1\n", 1),
+        ("x² = 1\n", 2),
+    ])
+    def test_non_ascii_outside_strings_is_unexpected_character(self, text,
+                                                               column):
+        # LANGUAGE.md §1: identifiers and numbers are ASCII.
+        with pytest.raises(TetraSyntaxError,
+                           match="unexpected character") as info:
+            tokenize(text)
+        span = info.value.span
+        assert (span.line, span.column, span.end - span.start) == (1, column, 1)
+
+    def test_non_ascii_in_strings_and_comments_is_text(self):
+        toks = non_layout('s = "2² é"  # ² é\n')
+        assert toks[-1].value == "2² é"
+
 
 class TestNumbers:
     def test_integer(self):

@@ -154,7 +154,7 @@ class TestArithmeticOracle:
 
 
 class TestLexerProperties:
-    @given(st.text(alphabet=st.characters(codec="ascii"), max_size=200))
+    @given(st.text(alphabet=st.characters(), max_size=200))
     @settings(max_examples=200, deadline=None)
     def test_lexer_never_hangs_or_crashes_unexpectedly(self, text):
         from repro.errors import TetraError
@@ -167,7 +167,9 @@ class TestLexerProperties:
 
     @given(st.lists(st.sampled_from(
         ["x", "42", "4.25", '"s"', "+", "-", "(", ")", "[", "]",
-         "while", "parallel", "==", "<=", "..."]), min_size=1, max_size=20))
+         "while", "parallel", "==", "<=", "...", '"a\\tb\\"c\\\\"',
+         '"\\n\\0\\r\\\'"', "# note\n", "(\n", "[1,\n  2]", "\n"]),
+        min_size=1, max_size=20))
     @settings(max_examples=100, deadline=None)
     def test_token_texts_match_source_slices(self, pieces):
         text = " ".join(pieces) + "\n"

@@ -550,6 +550,14 @@ class TestHTTP:
                              {"source": "def main():\n    print(1 / 0)\n"})
         assert status == 422 and body["exit_code"] == EXIT_ERROR
 
+    def test_run_non_ascii_digit_is_a_diagnostic(self, server):
+        # '²'.isdigit() is true; the scanner once passed it to int(), and
+        # the ValueError closed the connection without any response.
+        status, body = _post(server, "/api/run",
+                             {"source": "def main():\n    print(2²)\n"})
+        assert status == 422 and body["exit_code"] == EXIT_ERROR
+        assert "2:12: syntax error: unexpected character '²'" in body["error"]
+
     def test_run_limit_is_408(self, server):
         status, body = _post(server, "/api/run",
                              {"source": NOISY, "output_limit": 2000,
