@@ -38,6 +38,7 @@ Lowering contract (see DESIGN §2c for the full write-up):
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import os
 import platform
@@ -360,6 +361,11 @@ def _reset_for_tests() -> None:
         _probed = None
     with _modules_lock:
         _modules.clear()
+    # A dropped module's shared object stays mapped until its cffi handle
+    # is finalized, and dlopen of a still-mapped path returns the old
+    # mapping without reading the file again. Collect now so the next
+    # load sees what is on disk, as a fresh process would.
+    gc.collect()
 
 
 # ----------------------------------------------------------------------
