@@ -12,13 +12,22 @@ Every function here composes the pipeline (lex → parse → check → interpret
 with sensible defaults; the underlying pieces stay importable for tools that
 need finer control.
 
+A run is one checked program paired with one :class:`RuntimeConfig`:
+every run knob (race detection, tracing, limits, chaos, the native tier)
+is a field of that config, built per run by
+:func:`~repro.runtime.run_config` and passed to :func:`run_source` either
+whole (``config=``) or field by field as keywords.
+
 Repeat runs of the same source — REPL loops, IDE re-runs, benchmark
 harnesses — go through a small LRU **program cache** keyed by
 ``(sha256(text), name, entry)``: the lex/parse/check work happens once and
-the checked AST (with its type annotations and symbol tables) is reused.
-The AST is read-only during interpretation, so cached programs are safe to
-share across runs, backends, and threads; per-interpreter state (the
-closure trees of the fast path) is rebuilt per run, which is a single
+the checked AST (with its type annotations and symbol tables) is reused
+by every run, whatever its config.  Runs never write to the shared tree;
+the only things ever attached to it are analyses that are pure functions
+of the program (determinism, the proc plan, the native lowering), so one
+entry serves plain, traced, race-detected, native and simulated runs
+alike.  Per-interpreter state (the closure trees of the fast path, the
+race detector, the observer) is rebuilt per run, which is a single
 O(nodes) pass.  Pass ``cache=False`` (or ``tetra run --no-cache``) to
 bypass it, e.g. when benchmarking the front end itself.
 """
@@ -28,7 +37,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .errors import TetraError
 from .parser import parse_source
@@ -36,7 +45,14 @@ from .source import SourceFile
 from .tetra_ast import Program
 from .types import ProgramSymbols, check_program, collect_diagnostics
 from .interp import Interpreter
-from .runtime import Backend, RuntimeConfig, SequentialBackend, SimBackend, ThreadBackend
+from .runtime import (
+    Backend,
+    RuntimeConfig,
+    SequentialBackend,
+    SimBackend,
+    ThreadBackend,
+    run_config,
+)
 from .runtime.coop import CoopBackend, RandomPolicy, RoundRobinPolicy, ScriptPolicy
 from .runtime.proc import ProcBackend
 from .stdlib.io import CapturingIO
@@ -146,24 +162,15 @@ _inflight: dict[tuple, threading.Event] = {}
 
 def cached_program(text: str, name: str = "<string>",
                    entry: str = "main",
-                   cache: bool = True,
-                   flags: tuple = (False, False, False)
-                   ) -> tuple[Program, SourceFile]:
+                   cache: bool = True) -> tuple[Program, SourceFile]:
     """:func:`compile_source` behind the LRU program cache.
 
     Only successful compilations are cached — a program with a syntax or
     type error raises every time, with a fresh diagnostic.  Any change to
     the source text changes its hash and misses the cache, so there is no
-    explicit invalidation to get wrong.
-
-    ``flags`` folds compile-affecting run modes into the key — by default
-    ``(detect_races, observability, native)`` all off, the plain-run
-    variant.  The race detector and the observability layer bind their
-    hooks into per-node annotations and compiled closures, and the
-    native tier annotates ``parallel for`` nodes with its lowered-kernel
-    metadata; callers that enable any of them pass their flag tuple here
-    so an instrumented (or native-lowered) run never shares a cached
-    tree with a plain one (each variant gets its own entry).
+    explicit invalidation to get wrong.  The key is ``(sha, name,
+    entry)`` and nothing else: no run mode writes to a checked tree, so
+    one entry serves every run of the program.
 
     Concurrent misses on the same key are **single-flight**: the first
     caller compiles while the rest wait on its result, so N simultaneous
@@ -175,8 +182,7 @@ def cached_program(text: str, name: str = "<string>",
     global _cache_hits, _cache_misses
     if not cache:
         return compile_source(text, name)
-    key = (hashlib.sha256(text.encode("utf-8")).hexdigest(), name, entry,
-           flags)
+    key = (hashlib.sha256(text.encode("utf-8")).hexdigest(), name, entry)
     while True:
         with _cache_lock:
             cached = _cache.get(key)
@@ -301,53 +307,41 @@ def run_source(text: str, inputs: list[str] | None = None,
                backend: str | Backend = "thread",
                config: RuntimeConfig | None = None,
                name: str = "<string>", entry: str = "main",
-               detect_races: bool = False,
                cache: bool = True, fast: bool = True,
-               trace: bool = False, metrics: bool = False,
-               profile: bool = False,
-               time_limit: float = 0.0, memory_limit: int = 0,
-               output_limit: int = 0,
-               cancel: object = None, chaos_seed: int | None = None,
-               record_schedule: bool = False, replay: object = None,
-               native: str | None = None,
                io: CapturingIO | None = None,
-               on_error: str = "raise") -> RunResult:
+               on_error: str = "raise",
+               record_schedule: bool = False, replay: object = None,
+               **knobs) -> RunResult:
     """Compile and run Tetra source, capturing console output.
 
     ``backend`` is a name from :data:`BACKEND_FACTORIES` or a ready-made
     backend instance (e.g. a ``SimBackend(cores=8)`` whose trace you want).
-    ``detect_races=True`` turns on the dynamic race detector; observed
-    races land in :attr:`RunResult.races`.  ``cache=False`` bypasses the
-    program cache; ``fast=False`` forces the tree-walking interpreter
-    instead of the precompiled closure fast path.  ``trace``/``metrics``/
-    ``profile`` enable the observability layer: the run then carries an
-    :attr:`RunResult.obs` observer, ``metrics`` additionally aggregates it
-    into :attr:`RunResult.metrics`, and :meth:`RunResult.chrome_trace`
-    exports the timeline.
+    ``cache=False`` bypasses the program cache; ``fast=False`` forces the
+    tree-walking interpreter instead of the precompiled closure fast path.
+    ``io`` brings the run's own console channel (the serve worker's
+    streaming one, the IDE pane); it then owns the input lines too.
 
-    Guardrails and chaos (DESIGN.md §6f): ``time_limit`` aborts the run
-    after that much backend-clock time (host seconds on thread/sequential,
-    virtual units on sim/coop), ``memory_limit`` caps live value-heap
-    cells (and derives a captured-output cap so print loops are bounded
-    too), ``output_limit`` caps printed characters explicitly, ``cancel``
-    takes a :class:`~repro.resilience.CancelToken`
-    observed at every statement, and ``chaos_seed`` runs the program under
-    a seeded :class:`~repro.resilience.FaultPlan` (injected faults land in
-    :attr:`RunResult.faults`).  ``on_error="return"`` reports a failed run
-    through :attr:`RunResult.error`/:attr:`RunResult.aborted_by` — with
-    whatever partial output, races, and metrics the run produced — instead
-    of raising.
+    Run knobs are :class:`~repro.runtime.RuntimeConfig` fields: pass a
+    whole ``config``, name fields as keywords (``detect_races=True``,
+    ``trace=True``, ``metrics=True``, ``time_limit=2.0``,
+    ``chaos_seed=7``, ``native="auto"``, ...), or both — a keyword wins
+    over the same field of ``config``, which is never modified.  With no
+    ``config``, a backend instance's own config is the base.  Observed
+    races land in :attr:`RunResult.races`, a tracing/metrics/profiling run
+    carries its :attr:`RunResult.obs` (and :attr:`RunResult.metrics`), and
+    a chaos run's injected faults land in :attr:`RunResult.faults`.
+    Guardrails and chaos are described in DESIGN.md §6f, the native tier
+    in §2c.
 
-    ``native`` picks the native compiled tier's mode (``"auto"``,
-    ``"off"``, ``"require"`` — see :mod:`repro.compiler.native`); None
-    defers to ``config.native`` (default off).  Under ``"auto"``,
-    type-checked numeric functions and merge-safe ``parallel for``
-    bodies run as compiled C kernels, and everything ineligible falls
-    back to the fast path with the reason in :attr:`RunResult.metrics`.
+    ``on_error="return"`` reports a failed run through
+    :attr:`RunResult.error`/:attr:`RunResult.aborted_by` — with whatever
+    partial output, races, and metrics the run produced — instead of
+    raising.  Compile errors always raise.
 
     Record/replay (DESIGN.md §6g): ``record_schedule=True`` attaches a
     :class:`~repro.runtime.schedule.ScheduleRecorder` and leaves the
-    versioned artifact on :attr:`RunResult.schedule`; ``replay`` takes a
+    versioned artifact — with the input lines the program actually
+    consumed — on :attr:`RunResult.schedule`; ``replay`` takes a
     recorded artifact (a :class:`~repro.runtime.schedule.Schedule`, a raw
     dict, or a file path), forces the coop backend with a
     :class:`~repro.runtime.coop.ReplayPolicy`, and attaches a fidelity
@@ -366,68 +360,15 @@ def run_source(text: str, inputs: list[str] | None = None,
             else parse_schedule(replay)
         if isinstance(backend, str):
             backend = "coop"  # replays run on the coop scheduler
-        if sched.detect_races:
-            detect_races = True
-        if chaos_seed is None:
-            chaos_seed = sched.chaos_seed
-    if native is not None and native not in ("auto", "off", "require"):
-        raise ValueError("native must be 'auto', 'off', or 'require'")
-    cfg_races = detect_races or (config is not None and config.detect_races)
-    cfg_obs = (trace or metrics or profile
-               or (config is not None and (config.trace or config.metrics
-                                           or config.profile)))
-    cfg_native = native if native is not None \
-        else (config.native if config is not None else "off")
-    program, source = cached_program(
-        text, name, entry, cache=cache,
-        flags=(bool(cfg_races), bool(cfg_obs), cfg_native != "off"),
-    )
-    overrides = {}
-    if native is not None:
-        overrides["native"] = native
-    if detect_races:
-        overrides["detect_races"] = True
-    if trace:
-        overrides["trace"] = True
-    if metrics:
-        overrides["metrics"] = True
-    if profile:
-        overrides["profile"] = True
-    if time_limit:
-        overrides["time_limit"] = time_limit
-    if memory_limit:
-        overrides["memory_limit"] = memory_limit
-    if output_limit:
-        overrides["output_limit"] = output_limit
-    if cancel is not None:
-        overrides["cancel"] = cancel
-    if chaos_seed is not None:
-        overrides["chaos_seed"] = chaos_seed
     recorder = None
     if record_schedule:
         from .runtime.schedule import ScheduleRecorder
 
-        recorder = ScheduleRecorder()
-        overrides["schedule_recorder"] = recorder
-    if sched is not None:
-        overrides["schedule_replay"] = sched
-        overrides["chunking"] = sched.chunking
-        if sched.num_workers is not None:
-            overrides["num_workers"] = sched.num_workers
-    if overrides:
-        config = replace(config, **overrides) if config is not None \
-            else RuntimeConfig(**overrides)
-        if config.fault_plan is None and config.chaos_seed is not None:
-            # dataclasses.replace re-runs __post_init__, but cover the
-            # path where the caller's config already carried a seed.
-            from .resilience import FaultPlan
-
-            config.fault_plan = FaultPlan(config.chaos_seed)
-    if sched is not None and config is not None:
-        # Same seed AND same knobs as the recording — a plan built from
-        # the bare seed would use default probabilities and inject a
-        # different set of thread faults.
-        config.fault_plan = sched.make_fault_plan()
+        recorder = knobs["schedule_recorder"] = ScheduleRecorder()
+    if config is None and not isinstance(backend, str):
+        config = backend.config
+    config = run_config(config, sched, **knobs)
+    program, source = cached_program(text, name, entry, cache=cache)
     if isinstance(backend, str):
         try:
             factory = BACKEND_FACTORIES[backend]
@@ -436,12 +377,9 @@ def run_source(text: str, inputs: list[str] | None = None,
                 f"unknown backend {backend!r}; pick one of "
                 f"{sorted(BACKEND_FACTORIES)}"
             ) from None
-        backend_obj = factory() if config is None else _construct(factory, config)
+        backend_obj = factory(config=config)
     else:
         backend_obj = backend
-    # An embedder (the serve worker, the IDE pane) may bring its own
-    # channel — e.g. one that streams chunks as they are written; it then
-    # owns the input lines too.
     if io is None:
         io = CapturingIO(inputs or [])
     interp = Interpreter(program, source, backend=backend_obj, io=io,
@@ -458,7 +396,7 @@ def run_source(text: str, inputs: list[str] | None = None,
     if error is not None:
         result.error = error
         result.aborted_by = _abort_kind(error)
-    plan = interp.config.fault_plan
+    plan = config.fault_plan
     if plan is not None:
         result.faults = list(plan.records)
         result.fault_counts = dict(plan.counts)
@@ -467,8 +405,8 @@ def run_source(text: str, inputs: list[str] | None = None,
 
         result.schedule = build_artifact(
             recorder, source_text=text, name=name, entry=entry,
-            backend_name=backend_obj.name, config=interp.config,
-            inputs=inputs, output=result.output,
+            backend_name=backend_obj.name, config=config,
+            inputs=io.consumed, output=result.output,
             status=result.aborted_by or "ok", races=interp.races,
             fault_counts=result.fault_counts,
         )
@@ -487,41 +425,9 @@ def run_source(text: str, inputs: list[str] | None = None,
     return result
 
 
-def _construct(factory, config: RuntimeConfig):
-    """Backends take ``config`` at different positions; pass by keyword."""
-    return factory(config=config)
-
-
 def run_file(path: str, inputs: list[str] | None = None,
-             backend: str | Backend = "thread",
-             config: RuntimeConfig | None = None,
-             entry: str = "main",
-             detect_races: bool = False,
-             cache: bool = True, fast: bool = True,
-             trace: bool = False, metrics: bool = False,
-             profile: bool = False,
-             time_limit: float = 0.0, memory_limit: int = 0,
-             output_limit: int = 0,
-             cancel: object = None, chaos_seed: int | None = None,
-             record_schedule: bool = False, replay: object = None,
-             native: str | None = None,
-             io: CapturingIO | None = None,
-             on_error: str = "raise") -> RunResult:
-    """Compile and run a ``.ttr`` file.
-
-    Takes every knob :func:`run_source` takes (``name`` excepted — the
-    file path is the program's name): in particular ``entry=`` runs a
-    function other than ``main`` and ``replay=`` re-runs the file under a
-    recorded schedule artifact, which used to be reachable only through
-    ``run_source``.
-    """
-    source = SourceFile.from_path(path)
-    return run_source(source.text, inputs, backend, config, name=path,
-                      entry=entry,
-                      detect_races=detect_races, cache=cache, fast=fast,
-                      trace=trace, metrics=metrics, profile=profile,
-                      time_limit=time_limit, memory_limit=memory_limit,
-                      output_limit=output_limit,
-                      cancel=cancel, chaos_seed=chaos_seed,
-                      record_schedule=record_schedule, replay=replay,
-                      native=native, io=io, on_error=on_error)
+             **kwargs) -> RunResult:
+    """Compile and run a ``.ttr`` file: :func:`run_source` on its text,
+    with the file path as the program's name."""
+    return run_source(SourceFile.from_path(path).text, inputs, name=path,
+                      **kwargs)

@@ -48,6 +48,7 @@ import sys
 import tempfile
 import threading
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..errors import (
     TetraIndexError,
@@ -211,9 +212,6 @@ class _CLoop:
     #: Reductions merged back by the parent: (name, "sum"|"min"|"max", ty).
     reductions: tuple
     line: int
-    #: sha of the owning module's C source — pairs the annotation on the
-    #: (shared, cached) AST node with the right compiled artifact.
-    module_key: str = ""
 
 
 @dataclass
@@ -230,6 +228,13 @@ class Lowering:
     @property
     def key(self) -> str:
         return hashlib.sha256(self.c_source.encode()).hexdigest()[:16]
+
+    @cached_property
+    def loop_meta(self) -> dict:
+        """ParallelFor node → its _CLoop: the loops a run may offload.
+        Kept here rather than on the nodes, so no run writes to the
+        shared, cached tree."""
+        return dict(self.loops)
 
 
 @dataclass
@@ -1391,7 +1396,7 @@ def lower_program(program, symbols) -> Lowering:
         "int64_t tt_abi(void);",
     ]
     cdef_lines.extend(protos)
-    lowering = Lowering(
+    return Lowering(
         c_source=c_source,
         cdef="\n".join(cdef_lines),
         functions=metas,
@@ -1399,9 +1404,6 @@ def lower_program(program, symbols) -> Lowering:
         fallbacks=fallbacks,
         line_spans=line_spans,
     )
-    for _node, meta in loops:
-        meta.module_key = lowering.key
-    return lowering
 
 
 # ----------------------------------------------------------------------
@@ -1416,10 +1418,14 @@ class NativeRun:
     """
 
     def __init__(self, interp, state: NativeState,
-                 module: NativeModule | None):
+                 module: NativeModule | None,
+                 lowering: Lowering | None = None):
         self.interp = interp
         self.state = state
         self.module = module
+        #: This program's own lowering (``module`` may have been loaded
+        #: for another tree that lowered to the same C source).
+        self.lowering = lowering
         self._watcher: _Watcher | None = None
 
     # -- core C call with error/interrupt protocol ---------------------
@@ -1442,7 +1448,7 @@ class NativeRun:
         if stored is not None:
             raise stored
         if cctx.err:
-            err_span = module.lowering.line_spans.get(cctx.err_line, span)
+            err_span = self.lowering.line_spans.get(cctx.err_line, span)
             exc = _map_error(cctx.err, cctx.err_a, cctx.err_b, err_span)
             if self.interp.source is not None:
                 exc.attach_source(self.interp.source)
@@ -1463,7 +1469,7 @@ class NativeRun:
         """A marshalling invoker for a lowered function, or None."""
         if self.module is None:
             return None
-        meta = self.module.lowering.functions.get(name)
+        meta = self.lowering.functions.get(name)
         if meta is None:
             return None
         ffi = self.module.ffi
@@ -1529,8 +1535,8 @@ class NativeRun:
     def try_parallel_for(self, interp, stmt, items, ctx) -> bool:
         if self.module is None:
             return False
-        meta = getattr(stmt, "_native_loop", None)
-        if meta is None or meta.module_key != self.module.lowering.key:
+        meta = self.lowering.loop_meta.get(stmt)
+        if meta is None:
             return False
         state = self.state
         env = ctx.env
@@ -1737,10 +1743,8 @@ def setup_native(interp):
                 )
             state.notice = f"native build failed: {exc}"
             return NativeRun(interp, state, None)
-        for node, meta in lowering.loops:
-            node._native_loop = meta  # type: ignore[attr-defined]
         state.enabled = True
         state.cache_hit = module.cache_hit
         state.functions = sorted(lowering.functions)
         state.parallel_loops = len(lowering.loops)
-        return NativeRun(interp, state, module)
+        return NativeRun(interp, state, module, lowering)

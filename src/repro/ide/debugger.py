@@ -26,7 +26,7 @@ from ..errors import TetraError, TetraThreadError
 from ..parser import parse_expression
 from ..source import SourceFile, Span
 from ..interp import Interpreter, ThreadContext
-from ..runtime import RuntimeConfig
+from ..runtime import run_config
 from ..runtime.coop import (
     BLOCKED_JOIN,
     BLOCKED_LOCK,
@@ -107,9 +107,6 @@ class DebugSession:
                 name = schedule.name
             if inputs is None:
                 inputs = list(schedule.inputs)
-            detect_races = detect_races or schedule.detect_races
-            if schedule.num_workers is not None:
-                num_workers = schedule.num_workers
             self._replay_turns = deque(schedule.turns)
         if text is None:
             raise TetraThreadError(
@@ -122,17 +119,11 @@ class DebugSession:
         #: The IDE stop button routes through this token (via
         #: Interpreter.stop), so even threads parked on locks unwind.
         self.cancel = CancelToken()
-        config = RuntimeConfig(num_workers=num_workers,
-                               detect_races=detect_races,
-                               cancel=self.cancel)
-        if self.schedule is not None:
-            # Installing the replay on the config makes CoopBackend arm
-            # the lock-grant gate and parallel-for shapes; stepping stays
-            # manual, but every lock handoff and worker count follows the
-            # recording.
-            config.schedule_replay = self.schedule
-            config.chunking = self.schedule.chunking
-            config.fault_plan = self.schedule.make_fault_plan()
+        # A replay installed on the config makes CoopBackend arm the
+        # lock-grant gate and parallel-for shapes; stepping stays manual,
+        # but every lock handoff and worker count follows the recording.
+        config = run_config(replay=self.schedule, num_workers=num_workers,
+                            detect_races=detect_races, cancel=self.cancel)
         self.backend = CoopBackend(ManualPolicy(), config=config)
         self.interpreter = Interpreter(
             self.program, self.source, backend=self.backend, io=self.io,

@@ -104,34 +104,26 @@ class IDESession:
         kept in :attr:`console`.  With ``detect_races`` the dynamic race
         detector watches the run; findings land in :attr:`races` and
         :meth:`race_panel` renders them console-style."""
-        from ..api import BACKEND_FACTORIES, cached_program
-        from ..interp import Interpreter
-        from ..runtime import RuntimeConfig
+        from ..api import run_source
+        from ..source import SourceFile
 
+        name = self.path or "<editor>"
         self.console = CapturingIO(inputs or [])
         self.races = []
         self._last_source = None
-        interp = None
         try:
             # Re-running an unchanged buffer (the common edit-run loop) hits
             # the program cache and skips the lex/parse/check pipeline.
-            program, source = cached_program(
-                self.text, self.path or "<editor>", cache=self.cache,
-                flags=(bool(detect_races), False, False))
-            self._last_source = source
-            config = RuntimeConfig(detect_races=True) if detect_races else None
-            if config is None:
-                backend_obj = BACKEND_FACTORIES[backend]()
-            else:
-                backend_obj = BACKEND_FACTORIES[backend](config=config)
-            interp = Interpreter(program, source, backend=backend_obj,
-                                 io=self.console, config=config)
-            interp.run()
-        except TetraError as exc:
+            result = run_source(self.text, backend=backend, name=name,
+                                cache=self.cache, io=self.console,
+                                on_error="return", detect_races=detect_races)
+        except TetraError as exc:  # compile errors always raise
             self.console.write(exc.render() + "\n")
-        finally:
-            if interp is not None:
-                self.races = interp.races
+            return self.console.output
+        self._last_source = SourceFile.from_string(self.text, name)
+        self.races = result.races
+        if result.error is not None:
+            self.console.write(result.error.render() + "\n")
         return self.console.output
 
     def race_panel(self) -> str:

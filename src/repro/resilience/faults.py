@@ -80,6 +80,21 @@ class FaultPlan:
         self.records: list[FaultRecord] = []
         self.counts: dict[str, int] = {}
 
+    @property
+    def knobs(self) -> dict:
+        """The probabilities and pause caps — everything but the seed."""
+        return {
+            "preempt_prob": self.preempt_prob,
+            "max_preempt_ms": self.max_preempt_ms,
+            "lock_delay_prob": self.lock_delay_prob,
+            "max_lock_delay_ms": self.max_lock_delay_ms,
+            "thread_fault_prob": self.thread_fault_prob,
+        }
+
+    def fresh(self) -> "FaultPlan":
+        """The same plan, unused: same seed and knobs, no draws or counts."""
+        return FaultPlan(self.seed, **self.knobs)
+
     # ------------------------------------------------------------------
     def schedule_seed(self) -> int:
         """Seed for the coop backend's RandomPolicy (one seed = one exact

@@ -6,6 +6,7 @@ from .backend import (
     SequentialBackend,
     ThreadBackend,
     guided_chunk_sizes,
+    run_config,
 )
 from .coop import (
     CoopBackend,
@@ -47,7 +48,7 @@ from .values import (
 
 __all__ = [
     "Backend", "RuntimeConfig", "SequentialBackend", "ThreadBackend",
-    "ProcBackend", "guided_chunk_sizes",
+    "ProcBackend", "guided_chunk_sizes", "run_config",
     "CoopBackend", "CoopScheduler", "ManualPolicy", "RandomPolicy",
     "RoundRobinPolicy", "SchedulerPolicy", "ScriptPolicy",
     "DEFAULT_COST_MODEL", "FREE_PARALLELISM", "CostModel",

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from ..errors import (
@@ -153,6 +153,42 @@ class RuntimeConfig:
             from ..resilience.faults import FaultPlan
 
             self.fault_plan = FaultPlan(self.chaos_seed)
+
+
+def run_config(base: RuntimeConfig | None = None, replay=None,
+               **knobs) -> RuntimeConfig:
+    """The one place a run's :class:`RuntimeConfig` is built.
+
+    ``base`` (or the defaults) with ``knobs`` — RuntimeConfig field names,
+    so a misspelt knob is a TypeError — laid over it; a keyword knob wins
+    over the same field of ``base``.  A replay
+    :class:`~repro.runtime.schedule.Schedule` then imposes the recorded
+    run's shape: its chunking, worker count, chaos seed and knobs, and
+    race detection (on if either side asked for it).
+
+    The result is always a fresh copy with its own fault plan: the plan
+    counts what it injects and draws from seeded streams, so two runs
+    sharing one would see different faults.  ``base`` and any plan
+    passed in are never touched.
+    """
+    cfg = replace(base, **knobs) if base is not None \
+        else RuntimeConfig(**knobs)
+    if replay is not None:
+        cfg.schedule_replay = replay
+        cfg.chunking = replay.chunking
+        if replay.num_workers is not None:
+            cfg.num_workers = replay.num_workers
+        cfg.detect_races = cfg.detect_races or replay.detect_races
+        cfg.chaos_seed = replay.chaos_seed
+        cfg.fault_plan = replay.make_fault_plan()
+    elif "chaos_seed" in knobs and "fault_plan" not in knobs:
+        from ..resilience.faults import FaultPlan
+
+        cfg.fault_plan = None if cfg.chaos_seed is None \
+            else FaultPlan(cfg.chaos_seed)
+    elif cfg.fault_plan is not None:
+        cfg.fault_plan = cfg.fault_plan.fresh()
+    return cfg
 
 
 def guided_chunk_sizes(n: int, workers: int, min_chunk: int = 1) -> list[int]:

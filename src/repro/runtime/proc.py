@@ -195,13 +195,11 @@ def _worker_main(worker_index: int, task_q, result_q, source_text: str,
         # this process — drop it so this worker compiles for itself.
         api_mod._cache_lock = threading.Lock()
         api_mod._inflight = {}
-        # Offload only happens on uninstrumented runs, so ask for the same
-        # (races=False, obs=False, native=False) cache variant the parent
-        # compiled — under fork the inherited entry makes this bootstrap
-        # free.  Workers never run native kernels themselves (a loop that
-        # lowered natively is claimed before proc offload is consulted).
-        program, source = api_mod.cached_program(source_text, prog_name,
-                                                 flags=(False, False, False))
+        # Under fork the parent's cache entry — the one tree every run of
+        # this program shares — is inherited, so this bootstrap is free.
+        # Workers never run native kernels themselves (a loop that lowered
+        # natively is claimed before proc offload is consulted).
+        program, source = api_mod.cached_program(source_text, prog_name)
         config = RuntimeConfig(recursion_limit=recursion_limit)
         io = CapturingIO()
         interp = Interpreter(program, source,

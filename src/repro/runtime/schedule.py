@@ -208,22 +208,13 @@ def build_artifact(recorder: ScheduleRecorder, *, source_text: str,
                    races, fault_counts: dict) -> dict:
     """Assemble the versioned artifact for one recorded run."""
     plan = config.fault_plan
-    fault_plan = None
-    if plan is not None:
-        fault_plan = {
-            "preempt_prob": plan.preempt_prob,
-            "max_preempt_ms": plan.max_preempt_ms,
-            "lock_delay_prob": plan.lock_delay_prob,
-            "max_lock_delay_ms": plan.max_lock_delay_ms,
-            "thread_fault_prob": plan.thread_fault_prob,
-        }
     return {
         "format": SCHEDULE_FORMAT,
         "name": name,
         "entry": entry,
         "backend": backend_name,
         "chaos_seed": plan.seed if plan is not None else config.chaos_seed,
-        "fault_plan": fault_plan,
+        "fault_plan": plan.knobs if plan is not None else None,
         "detect_races": bool(config.detect_races),
         "num_workers": config.num_workers,
         "chunking": config.chunking,

@@ -63,7 +63,7 @@ from ..errors import (
 )
 from ..stdlib.builtin_time import monotonic_clock
 from ..stdlib.io import CapturingIO
-from .protocol import ServeError
+from .protocol import ServeError, request_config
 
 #: Statuses the pool itself produces (workers produce run statuses).
 _CRASH_RESULT = "the worker process died mid-run (crashed or OOM-killed)"
@@ -105,41 +105,25 @@ def _run_request(conn, req: dict) -> dict:
     picklable data (diagnostics pre-rendered worker-side)."""
     from ..api import run_source
     from ..analysis import render_race_panel
-    from ..runtime import RuntimeConfig
     from ..source import SourceFile
 
     io = _StreamIO(conn, req["id"], req.get("inputs") or ())
-    config = RuntimeConfig(
-        num_workers=req.get("workers"),
-        chunking=req.get("chunking", "block"),
-        step_limit=req["step_limit"],
-    )
-    # The service's time budget is host seconds; sim/coop clocks tick
-    # virtual units, where "5.0" would abort a healthy run instantly.
-    # Deterministic backends are bounded by the step limit and the parent
-    # watchdog instead.
-    host_clock = req["backend"] in ("thread", "sequential", "proc")
     t0 = monotonic_clock()
     try:
         result = run_source(
             req["source"],
             backend=req["backend"],
+            config=request_config(req),
             name=req.get("name", "<request>"),
             entry=req.get("entry", "main"),
-            detect_races=req["detect_races"],
-            metrics=req["metrics"],
-            time_limit=req["time_limit"] if host_clock else 0.0,
-            memory_limit=req["memory_limit"],
-            output_limit=req["output_limit"],
-            chaos_seed=req.get("chaos_seed"),
             record_schedule=req.get("record_schedule", False),
-            config=config,
             io=io,
             on_error="return",
         )
     except TetraError as exc:
         # Compile-time diagnostics raise even under on_error="return";
-        # the parent pre-compiles so this is the rare cache-variant case.
+        # the parent pre-compiles, so this is the rare case of a worker
+        # that forked before the parent's compile or outlived its entry.
         source = SourceFile.from_string(req["source"],
                                         req.get("name", "<request>"))
         return {

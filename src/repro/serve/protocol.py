@@ -51,7 +51,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from ..errors import (
     EXIT_CANCELLED,
@@ -62,6 +62,7 @@ from ..errors import (
     EXIT_RACES,
     EXIT_USAGE,
 )
+from ..runtime.backend import RuntimeConfig
 
 #: The documented mapping (also rendered in README).
 EXIT_HTTP_STATUS = {
@@ -215,34 +216,55 @@ def _clamp(value, default, ceiling, *, kind=float, name=""):
     return kind(min(value, ceiling))
 
 
+#: The RuntimeConfig fields that are plain values (the ``object`` ones
+#: carry per-run machinery: cancel tokens, fault plans, recorders).
+_VALUE_FIELDS = tuple(f.name for f in fields(RuntimeConfig)
+                      if f.type != "object")
+
+
+def request_config(request: dict) -> RuntimeConfig:
+    """The :class:`RuntimeConfig` one *validated* request runs with.
+
+    The service's time budget is host seconds; sim/coop clocks tick
+    virtual units, where "5.0" would abort a healthy run instantly, so
+    only host-clock backends get it as ``time_limit``.  Deterministic
+    backends are bounded by the step limit and the parent watchdog
+    instead.
+    """
+    return RuntimeConfig(
+        num_workers=request["workers"],
+        chunking=request["chunking"],
+        step_limit=request["step_limit"],
+        detect_races=request["detect_races"],
+        metrics=request["metrics"],
+        time_limit=request["time_limit"]
+        if request["backend"] in ("thread", "sequential", "proc") else 0.0,
+        memory_limit=request["memory_limit"],
+        output_limit=request["output_limit"],
+        chaos_seed=request["chaos_seed"],
+    )
+
+
 def run_key(request: dict) -> tuple:
     """The execution-identity key of one *validated* request.
 
-    Two requests with equal keys ask for the same computation: same
-    program (by sha), entry point, input lines, backend and scheduling
-    knobs, guardrail budgets, and instrumentation flags.  Tenant,
-    request id, and the queue deadline are deliberately excluded —
-    identity is *what* runs, not *who* asked or how long they were
+    Two requests with equal keys ask for the same computation: the same
+    program (by sha), name, entry point, input lines, backend and
+    schedule recording, run with equal :func:`request_config` values.
+    Tenant, request id, and the queue deadline are deliberately excluded
+    — identity is *what* runs, not *who* asked or how long they were
     willing to wait.  This is the key both request coalescing and the
     result cache share.
     """
+    config = request_config(request)
     return (
         hashlib.sha256(request["source"].encode("utf-8")).hexdigest(),
         request["name"],
         request["entry"],
         tuple(request["inputs"]),
         request["backend"],
-        request["chunking"],
-        request["workers"],
-        bool(request["detect_races"]),
-        bool(request["metrics"]),
-        bool(request["record_schedule"]),
-        request["chaos_seed"],
-        request["time_limit"],
-        request["memory_limit"],
-        request["step_limit"],
-        request["output_limit"],
-    )
+        request["record_schedule"],
+    ) + tuple(getattr(config, name) for name in _VALUE_FIELDS)
 
 
 _KNOWN_FIELDS = frozenset({

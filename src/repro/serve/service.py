@@ -18,7 +18,8 @@ object.  A request's life:
 4. **Deduplicate** — the same single-flight idea, one level up.  Every
    validated request has an execution identity, its
    :func:`~repro.serve.protocol.run_key` (program sha, entry, inputs,
-   backend, limits, flags).  Two dedup layers consult it:
+   backend, and every value of the request's RuntimeConfig).  Two dedup
+   layers consult it:
 
    * **Result cache** — if the static determinism analysis
      (:mod:`repro.analysis.determinism`) proves the run a pure function
@@ -263,9 +264,9 @@ class ExecutionService:
         try:
             # The shared front-end cache: every tenant's identical source
             # hits one compiled tree, and concurrent first-requests are
-            # single-flight.  (Workers compile their own instrumented
-            # variants on demand; this also rejects broken programs
-            # before they cost a sandbox slot.)
+            # single-flight.  Workers forked afterwards inherit the entry
+            # (every run mode shares it), and broken programs are rejected
+            # here before they cost a sandbox slot.
             program, _source = cached_program(
                 request["source"], request["name"], request["entry"])
         except TetraError as exc:

@@ -106,6 +106,9 @@ class CapturingIO(IOChannel):
         self._inputs: deque[str] = deque(inputs)
         self.output_limit = int(output_limit)
         self.chars_written = 0
+        #: Every line ``read_line`` handed to the program, in order — a
+        #: recorded schedule's ``inputs``, so its replay re-feeds them.
+        self.consumed: list[str] = []
 
     def write(self, text: str) -> None:
         with self._write_lock:
@@ -116,11 +119,13 @@ class CapturingIO(IOChannel):
 
     def read_line(self, span: Span = NO_SPAN) -> str:
         try:
-            return self._inputs.popleft()
+            line = self._inputs.popleft()
         except IndexError:
             raise TetraIOError(
                 "the program asked for input but none was provided", span
             ) from None
+        self.consumed.append(line)
+        return line
 
     def push_input(self, line: str) -> None:
         self._inputs.append(line)
@@ -145,17 +150,11 @@ class TeeIO(CapturingIO):
     """A :class:`CapturingIO` that stays interactive.
 
     Writes echo to real stdout as they happen and ``read_line`` falls back
-    to real stdin when no pre-loaded input remains, remembering every line
-    the program consumed.  ``tetra run --record-schedule`` uses this so
-    the schedule artifact can embed the run's exact output and inputs
-    while the program still talks to the console.
+    to real stdin when no pre-loaded input remains.  ``tetra run
+    --record-schedule`` uses this so the schedule artifact can embed the
+    run's exact output and inputs while the program still talks to the
+    console.
     """
-
-    def __init__(self, inputs: Iterable[str] = ()):
-        super().__init__(inputs)
-        #: Every line ``read_line`` handed to the program, in order —
-        #: the artifact's ``inputs`` field, so a replay re-feeds them.
-        self.consumed: list[str] = []
 
     def write(self, text: str) -> None:
         with self._write_lock:

@@ -47,106 +47,73 @@ def cmd_run(args: argparse.Namespace) -> int:
         import os
 
         workers = max(2, os.cpu_count() or 2)
+    from ..api import run_source
     from ..errors import EXIT_RACES, exit_code_for
     from ..resilience import CancelToken, install_sigint
+    from ..stdlib.io import StandardIO, TeeIO
 
     token = CancelToken()
-    recorder = None
-    record_io = None
-    if args.record_schedule is not None:
-        from ..runtime.schedule import ScheduleRecorder
-        from ..stdlib.io import TeeIO
-
-        recorder = ScheduleRecorder()
-        record_io = TeeIO()
-    config = RuntimeConfig(
-        num_workers=workers,
-        chunking=args.chunking,
-        detect_races=args.detect_races,
-        trace=args.trace is not None,
-        metrics=args.metrics,
-        profile=args.profile,
-        step_limit=args.step_limit,
-        time_limit=args.time_limit,
-        memory_limit=args.memory_limit,
-        output_limit=args.output_limit,
-        cancel=token,
-        chaos_seed=args.chaos,
-        schedule_recorder=recorder,
-        native=args.native,
-    )
-    interp = None
-    code = 0
-    run_error = None
+    recording = args.record_schedule is not None
     try:
-        from ..api import cached_program
-
-        program, source = cached_program(
-            source.text, args.file, cache=not args.no_cache,
-            flags=(bool(args.detect_races),
-                   bool(args.trace is not None or args.metrics
-                        or args.profile),
-                   args.native != "off"),
-        )
-        backend = BACKEND_FACTORIES[args.backend](config=config)
-        interp = Interpreter(program, source, backend=backend,
-                             io=record_io)
         # Ctrl-C cancels the token; the program unwinds through the normal
         # error path, so the partial race/metrics reports below still print.
         with install_sigint(token):
-            interp.run()
-    except TetraError as exc:
-        run_error = exc
+            result = run_source(
+                source.text, backend=args.backend, name=args.file,
+                cache=not args.no_cache, on_error="return",
+                # A recorded run keeps its output and the input lines it
+                # read for the artifact, while still talking to the console.
+                io=TeeIO() if recording else StandardIO(),
+                record_schedule=recording,
+                num_workers=workers, chunking=args.chunking,
+                detect_races=args.detect_races,
+                trace=args.trace is not None, metrics=args.metrics,
+                profile=args.profile, step_limit=args.step_limit,
+                time_limit=args.time_limit, memory_limit=args.memory_limit,
+                output_limit=args.output_limit, cancel=token,
+                chaos_seed=args.chaos, native=args.native,
+            )
+    except TetraError as exc:  # a compile error: nothing ran
         print(exc.attach_source(source).render(), file=sys.stderr)
-        code = exit_code_for(exc)
-    if args.chaos is not None and config.fault_plan is not None:
-        plan = config.fault_plan
+        return exit_code_for(exc)
+    code = 0
+    if result.error is not None:
+        print(result.error.attach_source(source).render(), file=sys.stderr)
+        code = exit_code_for(result.error)
+    if args.chaos is not None:
+        counts = result.fault_counts
         summary = ", ".join(f"{kind}: {n}"
-                            for kind, n in sorted(plan.counts.items()))
-        print(f"chaos seed {plan.seed} injected {plan.total_injected} "
+                            for kind, n in sorted(counts.items()))
+        print(f"chaos seed {args.chaos} injected {sum(counts.values())} "
               f"fault(s){' — ' + summary if summary else ''}",
               file=sys.stderr)
-    if args.detect_races and interp is not None:
+    if args.detect_races:
         from ..analysis import render_race_panel
 
-        print(render_race_panel(interp.races, source), file=sys.stderr)
-        if interp.races and code == 0:
+        print(render_race_panel(result.races, source), file=sys.stderr)
+        if result.races and code == 0:
             code = EXIT_RACES
     # The observability reports are printed even when the run errored —
     # a partial trace of a crashed program is exactly what one debugs with.
-    obs = interp._obs if interp is not None else None
-    if obs is not None:
+    if result.obs is not None:
         if args.trace is not None:
             from ..obs import write_chrome_trace
 
-            write_chrome_trace(obs, args.trace, interp.backend)
+            write_chrome_trace(result.obs, args.trace, result.backend)
             print(f"trace written to {args.trace} "
                   "(load in Perfetto or chrome://tracing)", file=sys.stderr)
         if args.metrics:
-            from ..obs import collect_metrics
-
-            print(collect_metrics(obs, interp.backend).render(),
-                  file=sys.stderr)
+            print(result.metrics.render(), file=sys.stderr)
         if args.profile:
             from ..obs import render_profile
 
-            print(render_profile(obs, source), file=sys.stderr)
-    if recorder is not None and interp is not None:
+            print(render_profile(result.obs, source), file=sys.stderr)
+    if result.schedule is not None:
         # Recorded even when the run aborted: a deadlocking or racing run
         # is exactly the one worth replaying.
-        from ..api import _abort_kind
-        from ..runtime.schedule import build_artifact, save_schedule
+        from ..runtime.schedule import save_schedule
 
-        plan = config.fault_plan
-        artifact = build_artifact(
-            recorder, source_text=source.text, name=args.file,
-            entry="main", backend_name=interp.backend.name, config=config,
-            inputs=record_io.consumed, output=record_io.output,
-            status=_abort_kind(run_error) if run_error is not None else "ok",
-            races=interp.races,
-            fault_counts=dict(plan.counts) if plan is not None else {},
-        )
-        save_schedule(artifact, args.record_schedule)
+        save_schedule(result.schedule, args.record_schedule)
         print(f"schedule recorded to {args.record_schedule} — replay it "
               f"with: tetra replay {args.record_schedule}", file=sys.stderr)
     return code

@@ -27,6 +27,26 @@ from repro.tools.cli import main as cli_main
 
 HELLO = 'def main():\n    print("hello")\n'
 
+#: A native-lowerable function and reduction loop, plus a loop with a
+#: real data race (its output does not depend on the race).
+MIXED_MODES = textwrap.dedent("""
+    def triangle(n int) int:
+        total = 0
+        for i in [1 ... n]:
+            total += i
+        return total
+
+    def main():
+        s = 0
+        parallel for i in [1 ... 8]:
+            lock s:
+                s += i
+        last = 0
+        parallel for i in [1 ... 4]:
+            last = i
+        print(s, triangle(10))
+""")
+
 #: Exercises recursion, loops, arrays, dicts, tuples, strings, classes,
 #: parallel for + locks — one program touching most compiled node kinds.
 KITCHEN_SINK = textwrap.dedent("""
@@ -132,17 +152,54 @@ class TestProgramCache:
         info = program_cache_info()
         assert info["hits"] == 1 and info["misses"] == 1
 
-    def test_instrumentation_flags_are_part_of_the_key(self):
-        """Regression: trace/race hooks are bound into per-node annotations
-        at compile time, so a tree compiled with instrumentation *off*
-        must never be served to a run that needs it *on* — each flag
-        combination gets its own cache variant."""
-        cached_program(HELLO)
-        cached_program(HELLO, flags=(True, False))
-        cached_program(HELLO, flags=(False, True))
+    def test_one_entry_serves_every_run_mode(self):
+        """No run mode writes to the checked tree, so one cache entry
+        serves plain, traced, race-detecting, native and simulated runs
+        alike — each warm run reports exactly what a cold run does."""
+        from repro.runtime.schedule import race_fingerprints
+
+        modes = {
+            "plain": {},
+            "traced": {"trace": True, "metrics": True, "profile": True},
+            "races": {"detect_races": True, "num_workers": 4},
+            "native": {"native": "auto", "metrics": True},
+            "sim": {"backend": "sim", "metrics": True},
+        }
+
+        def observe(result):
+            m = result.metrics
+            native = result.backend.native_state
+            return (
+                result.output,
+                race_fingerprints(result.races),
+                None if m is None else (
+                    m.threads,
+                    [(p.line, list(p.items)) for p in m.parallel_for],
+                    m.elapsed if m.virtual_clock else None,
+                    m.sim,
+                ),
+                None if native is None else {
+                    k: v for k, v in native.as_dict().items()
+                    if k != "cache_hit"
+                },
+                result.obs is not None,
+            )
+
+        cold = {}
+        for mode, kwargs in modes.items():
+            clear_program_cache()
+            cold[mode] = observe(run_source(MIXED_MODES, **kwargs))
+        assert cold["races"][1], "the racy loop must be reported"
+        assert cold["traced"][4] and not cold["plain"][4]
+        clear_program_cache()
+        for _ in range(2):
+            for mode, kwargs in modes.items():
+                assert observe(run_source(MIXED_MODES, **kwargs)) \
+                    == cold[mode], mode
         info = program_cache_info()
-        assert info["hits"] == 0 and info["misses"] == 3
-        assert info["currsize"] == 3
+        assert info["misses"] == 1
+        assert info["hits"] == 2 * len(modes) - 1
+        assert info["currsize"] == 1
 
     def test_warm_plain_cache_still_traces_and_detects_races(self):
         """The user-visible symptom the flagged key prevents: a plain run

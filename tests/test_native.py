@@ -3,7 +3,7 @@
 Three groups:
 
 * toolchain-free tests (eligibility decisions, mode gating, the
-  program-cache key, graceful degradation without a C compiler) — these
+  shared cached tree, graceful degradation without a C compiler) — these
   run everywhere, including CI boxes with no ``cc``;
 * differential tests (walker vs. native on the same program, including
   error messages, reductions under every chunking policy, and the
@@ -17,6 +17,7 @@ import importlib.util
 import os
 import textwrap
 import time
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +30,9 @@ from repro.api import (
 )
 from repro.errors import TetraLimitError, TetraNativeError
 from repro.runtime.backend import RuntimeConfig
+from repro.tetra_ast import walk
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "examples" / "tetra"
 
 HAS_CFFI = importlib.util.find_spec("cffi") is not None
 HAS_CC = native.find_compiler() is not None
@@ -78,7 +82,7 @@ def differential(text, num_workers=None, chunking=None, **kwargs):
 
 
 # ----------------------------------------------------------------------
-# Toolchain-free: modes, gating, and the program-cache key
+# Toolchain-free: modes, gating, and the shared cached tree
 # ----------------------------------------------------------------------
 class TestModes:
     def test_native_is_off_by_default(self):
@@ -122,19 +126,51 @@ class TestModes:
         assert result.output == "1\n"
         assert not result.metrics.native["enabled"]
 
-    def test_program_cache_key_includes_the_native_flag(self):
-        """Regression: native runs annotate the tree (loop kernels) and
-        swap function invokers, so a tree compiled for a plain run must
-        never be served to a native run or vice versa."""
-        src = "def main():\n    print(3)\n"
-        assert run_source(src).output == "3\n"
-        assert run_source(src, native="auto").output == "3\n"
-        info = program_cache_info()
-        assert info["misses"] == 2 and info["hits"] == 0
-        # ...but two native runs share one variant.
-        assert run_source(src, native="auto").output == "3\n"
-        assert program_cache_info()["hits"] == 1
+    def test_no_run_mode_writes_to_the_cached_tree(self):
+        """Every example, run in every mode against one cached tree,
+        leaves the tree as a plain run does.  The only additions allowed
+        are the memoised analyses — pure functions of the program, each
+        attached once and never rebound; everything else keeps its very
+        value objects."""
+        memos = {"_native_lowering", "_proc_plan"}
+        modes = [
+            {"trace": True, "metrics": True, "profile": True},
+            {"detect_races": True, "num_workers": 4},
+            {"native": "auto"},
+            {"backend": "sim"},
+            {"backend": "coop"},
+            {"backend": "sequential", "chaos_seed": 3},
+            {"backend": "proc", "num_workers": 2},
+            {},
+        ]
 
+        def attrs(program):
+            return {id(node): {k: id(v) for k, v in vars(node).items()}
+                    for node in walk(program)}
+
+        for path in sorted(EXAMPLES.glob("*.ttr")):
+            text = path.read_text()
+            inputs = ["10"] if "read_int" in text else []
+            program, _ = cached_program(text, str(path))
+
+            def run_in(mode):
+                run_source(text, inputs=inputs, name=str(path),
+                           on_error="return", **mode)
+
+            run_in({})
+            plain = attrs(program)
+            seen_memos = {}
+            for mode in modes:
+                run_in(mode)
+                for node_id, now in attrs(program).items():
+                    for name in memos & now.keys():
+                        assert seen_memos.setdefault((node_id, name),
+                                                     now[name]) \
+                            == now[name], (path.name, mode, name)
+                    rest = {k: v for k, v in now.items() if k not in memos}
+                    assert rest == plain[node_id], (path.name, mode)
+            assert program_cache_info()["currsize"] == 1
+            clear_program_cache()
 
 # ----------------------------------------------------------------------
 # Toolchain-free: eligibility (lower_program never invokes a compiler)

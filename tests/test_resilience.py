@@ -342,7 +342,45 @@ def main():
             config=RuntimeConfig(fault_plan=plan), on_error="return")
         assert result.aborted_by == "error"
         assert "injected" in str(result.error)
-        assert plan.counts.get("thread-fault") == 2
+        assert result.fault_counts.get("thread-fault") == 2
+        # The run drew from its own copy of the plan, not the caller's.
+        assert plan.counts == {}
+
+
+class TestRunConfig:
+    """``run_config`` builds every run's config: a fresh copy with its own
+    fault plan, so one RuntimeConfig can drive any number of runs."""
+
+    SIX = "def main():\n    parallel:\n" + "".join(
+        f"        print({i})\n" for i in range(1, 7))
+
+    def test_reused_config_gives_identical_chaos_runs(self):
+        cfg = RuntimeConfig(chaos_seed=3)
+        first = run_source(self.SIX, backend="sim", config=cfg)
+        second = run_source(self.SIX, backend="sim", config=cfg)
+        keyword = run_source(self.SIX, backend="sim", chaos_seed=3)
+        assert first.output == second.output == keyword.output
+        assert first.fault_counts == second.fault_counts \
+            == keyword.fault_counts == {"spawn-shuffle": 1}
+        assert cfg.fault_plan.counts == {}
+
+    def test_fresh_copy_and_keyword_precedence(self):
+        from repro.runtime import run_config
+
+        plan = FaultPlan(5, thread_fault_prob=0.5)
+        base = RuntimeConfig(num_workers=2, fault_plan=plan)
+        cfg = run_config(base, num_workers=3, trace=True)
+        assert cfg is not base and cfg.fault_plan is not plan
+        assert (cfg.num_workers, cfg.trace) == (3, True)
+        assert (base.num_workers, base.trace) == (2, False)
+        assert (cfg.fault_plan.seed, cfg.fault_plan.knobs) \
+            == (plan.seed, plan.knobs)
+        # A keyword seed replaces the base's plan; None drops it.
+        assert run_config(base, chaos_seed=9).fault_plan.seed == 9
+        assert run_config(RuntimeConfig(chaos_seed=4),
+                          chaos_seed=None).fault_plan is None
+        with pytest.raises(TypeError):
+            run_config(base, no_such_knob=1)
 
 
 class TestStressHarness:

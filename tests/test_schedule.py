@@ -171,6 +171,47 @@ class TestOtherBackends:
         assert_faithful(rec, rep)
 
 
+#: Reads one line, so a recording that drops its inputs cannot replay.
+DOUBLER = """
+def main():
+    n = read_int()
+    print(n * 2)
+"""
+
+
+class TestRecordedInputs:
+    """A recording embeds the input lines the program consumed, however
+    its console was supplied."""
+
+    def test_caller_supplied_io(self):
+        from repro.stdlib.io import CapturingIO
+
+        rec = run_source(DOUBLER, io=CapturingIO(["21", "unread"]),
+                         record_schedule=True)
+        assert rec.output == "42\n"
+        assert rec.schedule["inputs"] == ["21"]
+        rep = replay_schedule(rec.schedule)
+        assert rep.output == rec.output
+        assert "byte-identical" in rep.replay.render()
+        assert_faithful(rec, rep)
+
+    def test_served_recording_replays(self):
+        from repro.serve import ExecutionService, ServeConfig
+
+        service = ExecutionService(ServeConfig(port=0, workers=1))
+        try:
+            result = service.run({"source": DOUBLER, "inputs": ["21"],
+                                  "record_schedule": True})
+        finally:
+            service.shutdown()
+        assert result["exit_code"] == 0 and result["output"] == "42\n"
+        assert result["schedule"]["inputs"] == ["21"]
+        rep = replay_schedule(result["schedule"])
+        assert rep.output == result["output"]
+        assert "byte-identical" in rep.replay.render()
+        assert rep.replay.faithful
+
+
 class TestArtifactValidation:
     def good(self):
         return record(RACY, "coop", seed=1).schedule

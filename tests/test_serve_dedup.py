@@ -344,3 +344,64 @@ class TestCoalescing:
         cache = dedup["result_cache"]
         for field in ("size", "capacity", "hits", "misses", "stores"):
             assert field in cache
+
+
+# ----------------------------------------------------------------------
+# run_key derivation
+# ----------------------------------------------------------------------
+class TestRunKey:
+    """``run_key`` is derived from the request's RuntimeConfig, so no
+    run knob can be left out of the execution identity."""
+
+    #: One changed value per request field (none is the default).
+    CHANGES = {
+        "workers": 3, "chunking": "cyclic", "step_limit": 7,
+        "detect_races": True, "metrics": True, "time_limit": 1.5,
+        "memory_limit": 99, "output_limit": 77, "chaos_seed": 4,
+        "inputs": ["x"], "entry": "other", "backend": "sim",
+        "record_schedule": True, "name": "other.ttr",
+        "source": _hello("other"),
+    }
+
+    def test_every_settable_config_field_changes_the_key(self):
+        from dataclasses import fields
+
+        from repro.runtime import RuntimeConfig
+        from repro.serve.protocol import (
+            request_config,
+            run_key,
+            validate_request,
+        )
+
+        cfg = _cfg()
+        base = validate_request({"source": _hello("key")}, cfg)
+        base_config = request_config(base)
+        values = [f.name for f in fields(RuntimeConfig)
+                  if f.type != "object"]
+        settable = set()
+        for name, value in self.CHANGES.items():
+            req = validate_request(
+                {"source": _hello("key"), name: value}, cfg)
+            assert run_key(req) != run_key(base), name
+            config = request_config(req)
+            settable |= {v for v in values
+                         if getattr(config, v) != getattr(base_config, v)}
+        assert settable == {
+            "num_workers", "chunking", "step_limit", "detect_races",
+            "metrics", "time_limit", "memory_limit", "output_limit",
+            "chaos_seed",
+        }
+        # Who asked and how long they will wait is not identity.
+        assert run_key(validate_request(
+            {"source": _hello("key"), "queue_deadline": 1.0}, cfg)) \
+            == run_key(base)
+
+    def test_virtual_clock_backends_run_without_a_time_limit(self):
+        from repro.serve.protocol import request_config, validate_request
+
+        cfg = _cfg()
+        for backend, limited in (("thread", True), ("proc", True),
+                                 ("sim", False), ("coop", False)):
+            req = validate_request({"source": _hello("clock"),
+                                    "backend": backend}, cfg)
+            assert bool(request_config(req).time_limit) is limited, backend
