@@ -20,20 +20,38 @@ Eligibility reuses the static machinery that already exists:
 
 Lowering contract (see DESIGN §2c for the full write-up):
 
-* ``int`` is ``int64_t`` with two's-complement wraparound (``-fwrapv``) —
-  the one semantic deviation from Python's big integers.  Function calls
-  whose *arguments* don't fit in 64 bits delegate to the Python fallback
-  invoker, so the deviation is only observable through in-kernel overflow.
-* ``real`` is ``double`` (bit-identical to CPython floats), ``bool`` is
-  ``int64_t`` 0/1.
-* Arrays are marshalled by copy (pointer + length); element stores are
-  copied back only on success.  A kernel that errors mid-loop does not
-  write partial results back — a deviation from the walker observable only
-  through ``try``-recovered state.
+* ``int`` is ``int64_t``, ``real`` is ``double`` (bit-identical to CPython
+  floats), ``bool`` is ``int64_t`` 0/1.  Function calls whose *arguments*
+  don't fit in 64 bits delegate to the Python fast path.
+* Direct and mutual recursion lower.  Every lowered function takes a
+  ``depth`` argument, seeded from the caller's Tetra call-stack length,
+  and checks it on entry against ``min(recursion_limit, base +
+  C_DEPTH_CAP)``; it also polls ``ctx->stop | ctx->err`` there, because
+  shallow recursion never reaches a loop back-edge's ``TT_CHECK``.
+  Call-cycle members are ``noinline``.
+* Local rank-1 scalar arrays (``x = array(n, fill)``) own a heap buffer:
+  reassignment frees the old one and every exit frees all of them.  They
+  cannot alias, be returned, or escape — an array used as a value (``b =
+  a``) keeps the function on the fast path.
+* Arrays passed in are marshalled by copy (pointer + length); element
+  stores are copied back only on success.  A kernel that errors mid-loop
+  does not write partial results back — a deviation from the walker
+  observable only through ``try``-recovered state.
 * Runtime errors (division by zero, index out of range, sqrt domain) latch
   an error code + line in a shared ``tt_ctx`` struct; every loop back-edge
   polls it, so errors and time-limit/cancel interrupts stop hot C loops
   within ~1024 iterations.
+
+Deopt protocol: whatever the C code cannot do exactly latches a *deopt*
+code instead — int64 overflow (checked with ``__builtin_*_overflow``,
+including ``INT64_MIN / -1``, ``abs``, negation and float-to-int), depth
+past the cap, a negative array length, or a failed ``malloc``.  Since
+nothing a kernel did is copied back, the function invoker then reruns the
+call on the fast path from its original arguments, and a loop kernel's
+``try_parallel_for`` returns False so the loop runs on the fast path.  A
+rerun never re-enters C: native invokers on that thread are bypassed
+until it returns.  Each deopt is counted in ``--metrics`` with its line
+and cause.
 """
 
 from __future__ import annotations
@@ -92,10 +110,18 @@ from ..types import BOOL, INT, REAL, VOID, ArrayType, BoolType, IntType, RealTyp
 #: Bumped whenever the C runtime protocol (tt_ctx layout, helper
 #: signatures, kernel calling convention) changes; stale on-disk artifacts
 #: with a different ABI recompile cold instead of erroring.
-ABI_VERSION = 1
+ABI_VERSION = 2
 
 #: Cached shared objects beyond this count are evicted oldest-first.
 CACHE_MAX_ENTRIES = 64
+
+#: Lowered frames one C stack may hold before a call deopts: far below
+#: any thread's stack, far above the default ``recursion_limit``.
+C_DEPTH_CAP = 2048
+
+#: Error codes that mean "the C code cannot do this exactly" (rerun on
+#: the fast path) rather than a Tetra runtime error.
+_DEOPT_CAUSES = {7: "overflow", 8: "alloc", 9: "depth"}
 
 _INT64_MIN = -(2 ** 63)
 _INT64_MAX = 2 ** 63 - 1
@@ -156,6 +182,9 @@ class NativeState:
     parallel_calls: int = 0
     #: (line, reason) for every function/loop that stayed on the fast path.
     fallbacks: list[tuple[int, str]] = field(default_factory=list)
+    #: (line, cause) -> calls or loop runs that deopted there and reran
+    #: on the fast path.
+    deopts: dict[tuple[int, str], int] = field(default_factory=dict)
     _seen: set[tuple[int, str]] = field(default_factory=set)
 
     def note_fallback(self, line: int, reason: str) -> None:
@@ -163,6 +192,10 @@ class NativeState:
         if key not in self._seen:
             self._seen.add(key)
             self.fallbacks.append(key)
+
+    def note_deopt(self, line: int, cause: str) -> None:
+        key = (line, cause)
+        self.deopts[key] = self.deopts.get(key, 0) + 1
 
     def as_dict(self) -> dict:
         return {
@@ -176,6 +209,8 @@ class NativeState:
             "calls": self.calls,
             "parallel_calls": self.parallel_calls,
             "fallbacks": [list(f) for f in self.fallbacks],
+            "deopts": [[line, cause, count] for (line, cause), count
+                       in sorted(self.deopts.items())],
         }
 
 
@@ -198,6 +233,8 @@ class _CFn:
     param_types: tuple  # semantic types, parallel to param_names
     return_type: object
     line: int
+    #: Member of a call cycle: emitted ``noinline``.
+    recursive: bool = False
 
 
 @dataclass
@@ -299,9 +336,10 @@ def _compile_so(cc: str, c_source: str, out_path: str) -> None:
         so_tmp = os.path.join(tmp, "kernel.so")
         with open(c_path, "w") as fh:
             fh.write(c_source)
-        # -fwrapv makes signed int64 overflow well-defined wraparound —
-        # part of the lowering contract, not an optimization knob.
-        cmd = [cc, "-O2", "-fwrapv", "-shared", "-fPIC",
+        # -O1: the checked helpers are all inline, so -O2 runs the
+        # kernels within 3% and costs about a third more cc time, which
+        # every cold start pays.
+        cmd = [cc, "-O1", "-shared", "-fPIC",
                "-o", so_tmp, c_path, "-lpthread", "-lm"]
         proc = subprocess.run(cmd, capture_output=True, text=True)
         if proc.returncode != 0:
@@ -395,12 +433,6 @@ def _map_error(code: int, a: int, b: int, span: Span):
         return TetraRuntimeError(
             "sqrt() is not defined for negative numbers", span
         )
-    if code == 7:
-        return TetraRuntimeError(
-            "result does not fit in a 64-bit integer "
-            "(native-tier integer range)",
-            span,
-        )
     return TetraRuntimeError(
         f"native kernel failed (internal error code {code})", span
     )
@@ -492,15 +524,19 @@ class _ScalarRef:
 
 
 class _ArrayRef:
-    __slots__ = ("buf", "length", "elem")
+    __slots__ = ("buf", "length", "elem", "owned")
 
-    def __init__(self, buf, length, elem):
+    def __init__(self, buf, length, elem, owned=False):
         self.buf = buf
         self.length = length
         self.elem = elem
+        #: A local ``array(n, fill)`` whose heap buffer this frame frees.
+        self.owned = owned
 
 
 _ARITH_SYMBOLS = {BinaryOp.ADD: "+", BinaryOp.SUB: "-", BinaryOp.MUL: "*"}
+_CHECKED_ARITH = {BinaryOp.ADD: "tt_add", BinaryOp.SUB: "tt_sub",
+                  BinaryOp.MUL: "tt_mul"}
 _CMP_SYMBOLS = {
     BinaryOp.EQ: "==", BinaryOp.NE: "!=", BinaryOp.LT: "<",
     BinaryOp.LE: "<=", BinaryOp.GT: ">", BinaryOp.GE: ">=",
@@ -511,11 +547,16 @@ class _Emitter:
     """Emits one C function body (a lowered function or a loop kernel)."""
 
     def __init__(self, callables: dict, resolve, line_spans: dict,
-                 in_parallel_body: bool = False):
+                 in_parallel_body: bool = False, call_depth: str = "depth + 1",
+                 owned: tuple = ()):
         self.callables = callables
         self.resolve = resolve
         self.line_spans = line_spans
         self.in_parallel_body = in_parallel_body
+        #: The depth argument of calls made from this body.
+        self.call_depth = call_depth
+        #: C names of the local arrays every exit must free.
+        self.owned = owned
         self.lines: list[str] = []
         self.depth = 1
         self.loop_depth = 0
@@ -589,6 +630,7 @@ class _Emitter:
 
     def _unary(self, e) -> tuple[str, object]:
         code, ty = self.expr(e.operand)
+        line = self._line(e)
         if e.op is UnaryOp.NOT:
             return f"(int64_t)(!({code}))", BOOL
         if not ty.is_numeric:
@@ -597,7 +639,7 @@ class _Emitter:
             return code, ty
         if isinstance(ty, RealType):
             return f"(-({code}))", REAL
-        return f"tt_ineg({code})", INT
+        return f"tt_ineg(ctx, {code}, {line})", INT
 
     def _binop(self, op, lc, lt, rc, rt, line) -> tuple[str, object]:
         if op in _CMP_SYMBOLS:
@@ -613,7 +655,6 @@ class _Emitter:
         if not (lt.is_numeric and rt.is_numeric):
             raise _Ineligible("arithmetic on non-numeric values is not lowered")
         real = isinstance(lt, RealType) or isinstance(rt, RealType)
-        out_ty = REAL if real else INT
         if op is BinaryOp.DIV:
             if real:
                 return (f"tt_rdiv(ctx, (double)({lc}), (double)({rc}), "
@@ -624,12 +665,15 @@ class _Emitter:
                 return (f"tt_rmod(ctx, (double)({lc}), (double)({rc}), "
                         f"{line})"), REAL
             return f"tt_imod(ctx, {lc}, {rc}, {line})", INT
-        sym = _ARITH_SYMBOLS[op]
-        return f"(({lc}) {sym} ({rc}))", out_ty
+        if real:
+            return f"(({lc}) {_ARITH_SYMBOLS[op]} ({rc}))", REAL
+        return f"{_CHECKED_ARITH[op]}(ctx, {lc}, {rc}, {line})", INT
 
     def _call(self, e) -> tuple[str, object]:
-        meta = self.callables.get(e.func)
-        if meta is not None:
+        if e.func in self.callables:  # a user function shadows a builtin
+            meta = self.callables[e.func]
+            if meta is None:
+                raise _Ineligible(f"calls '{e.func}', which is not lowered")
             args = []
             for arg, want in zip(e.args, meta.param_types):
                 if isinstance(want, ArrayType):
@@ -641,7 +685,8 @@ class _Emitter:
                     if isinstance(want, RealType):
                         code = f"(double)({code})"
                     args.append(code)
-            call = f"{meta.cname}(ctx" + "".join(f", {a}" for a in args) + ")"
+            call = (f"{meta.cname}(ctx, {self.call_depth}"
+                    + "".join(f", {a}" for a in args) + ")")
             return call, meta.return_type
         return self._builtin(e)
 
@@ -665,7 +710,7 @@ class _Emitter:
                 raise _Ineligible("abs() on a non-numeric value")
             if isinstance(ty, RealType):
                 return f"fabs({code})", REAL
-            return f"tt_iabs({code})", INT
+            return f"tt_iabs(ctx, {code}, {line})", INT
         if name in ("min", "max"):
             (ac, at), (bc, bt) = self.expr(e.args[0]), self.expr(e.args[1])
             if not (at.is_numeric and bt.is_numeric):
@@ -683,7 +728,12 @@ class _Emitter:
 
     def stmt(self, s) -> None:
         if isinstance(s, Assign):
-            self._assign(s.target, *self.expr(s.value), s)
+            ref = (self.resolve(s.target.id) if isinstance(s.target, Name)
+                   else None)
+            if isinstance(ref, _ArrayRef):
+                self._assign_array(ref, s)
+            else:
+                self._assign(s.target, *self.expr(s.value), s)
         elif isinstance(s, AugAssign):
             self._aug_assign(s)
         elif isinstance(s, Declare):
@@ -745,6 +795,31 @@ class _Emitter:
             return
         raise _Ineligible("assignment target is not lowered")
 
+    def _assign_array(self, arr, s) -> None:
+        """``x = array(n, fill)`` for a local array: the one way an array
+        variable is written natively (no aliasing, no parameters)."""
+        name = s.target.id
+        if not arr.owned:
+            raise _Ineligible(f"reassigns array '{name}', which it does "
+                              "not own")
+        value = s.value
+        if not (isinstance(value, Call) and value.func == "array"
+                and "array" not in self.callables and len(value.args) == 2):
+            raise _Ineligible(
+                f"assigns array '{name}' from something other than "
+                "array(n, fill) (array aliasing is not lowered)"
+            )
+        n_code, n_ty = self.expr(value.args[0])
+        fill_code, fill_ty = self.expr(value.args[1])
+        if not isinstance(n_ty, IntType) or type(fill_ty) is not type(
+                arr.elem):
+            raise _Ineligible(f"array '{name}' changes element type")
+        new = "tt_rnew" if isinstance(arr.elem, RealType) else "tt_inew"
+        self.out(
+            f"{arr.buf} = {new}(ctx, {arr.buf}, {arr.buf}_spare, "
+            f"&{arr.length}, {n_code}, {fill_code}, {self._line(s)});"
+        )
+
     def _aug_assign(self, s) -> None:
         vc, vt = self.expr(s.value)
         line = self._line(s)
@@ -779,6 +854,8 @@ class _Emitter:
         raise _Ineligible("augmented assignment target is not lowered")
 
     def _declare(self, s) -> None:
+        if isinstance(self.resolve(s.name), _ArrayRef):
+            raise _Ineligible(f"declares array '{s.name}'")
         ref = self._scalar(s.name, s)
         if not ref.writable:
             raise _Ineligible(f"declares shared variable '{s.name}'")
@@ -817,19 +894,21 @@ class _Emitter:
         hi_code, hi_ty = self.expr(s.iterable.stop)
         if not (isinstance(lo_ty, IntType) and isinstance(hi_ty, IntType)):
             raise _Ineligible("range bounds are not ints")
-        lo, hi = self._temp("lo"), self._temp("hi")
-        it = self._temp("it")
+        hi, it, go = self._temp("hi"), self._temp("it"), self._temp("go")
         self.out("{")
         self.depth += 1
-        self.out(f"int64_t {lo} = {lo_code};")
+        self.out(f"int64_t {it} = {lo_code};")
         self.out(f"int64_t {hi} = {hi_code};")
         # The walker iterates over the *materialized* range, assigning
         # the loop variable each pass — so a body that writes it (or a
         # same-named nested loop) must not perturb this loop's own
         # progress.  A hidden counter drives the loop; the visible
         # variable is a per-iteration copy, and after the loop it keeps
-        # the last item, exactly like the walker.
-        self.out(f"for (int64_t {it} = {lo}; {it} <= {hi}; {it}++) {{")
+        # the last item, exactly like the walker.  The counter stops *at*
+        # the bound instead of stepping past it, so a range ending at
+        # INT64_MAX terminates without overflow.
+        self.out(f"for (int64_t {go} = {it} <= {hi}; {go}; "
+                 f"{go} = {it} < {hi}, {it} += {go}) {{")
         self.depth += 1
         self.out(f"{ref.code} = {it};")
         self.depth -= 1
@@ -847,16 +926,25 @@ class _Emitter:
         self.depth -= 1
 
     def _return(self, s) -> None:
-        if s.value is None:
-            self.out("return;" if self.ret_ty is VOID else "return 0;")
-            return
-        if self.ret_ty is VOID:
-            code, _ = self.expr(s.value)
-            self.out(f"(void)({code});")
-            self.out("return;")
+        if self.ret_ty is VOID or s.value is None:
+            if s.value is not None:
+                code, _ = self.expr(s.value)
+                self.out(f"(void)({code});")
+            self.out_exit("return;" if self.ret_ty is VOID else "return 0;")
             return
         code, ty = self.expr(s.value)
-        self.out(f"return {self._coerce(code, ty, self.ret_ty)};")
+        code = self._coerce(code, ty, self.ret_ty)
+        if not self.owned:
+            self.out(f"return {code};")
+            return
+        # Evaluate first: the value may read a local array.
+        self.out(f"{{ {_ctype(self.ret_ty)} _ret = {code};")
+        self.out_exit("return _ret; }")
+
+    def out_exit(self, ret: str) -> None:
+        """A function exit: free every local array, then ``ret``."""
+        self.out("".join(f"tt_free({b}, {b}_spare); " for b in self.owned)
+                 + ret)
 
     ret_ty = VOID  # overridden per function
 
@@ -890,9 +978,19 @@ def _always_returns(block: Block) -> bool:
 # ----------------------------------------------------------------------
 _C_PRELUDE = """\
 #include <stdint.h>
-#include <math.h>
-#include <stdlib.h>
 #include <pthread.h>
+
+/* The libc/libm functions kernels call, declared here: parsing <math.h>
+ * and <stdlib.h> costs a module about as much cc time as a small kernel. */
+void *malloc(__SIZE_TYPE__ size);
+void free(void *ptr);
+double sqrt(double x);
+double floor(double x);
+double ceil(double x);
+double fmod(double x, double y);
+double fabs(double x);
+double fmin(double x, double y);
+double fmax(double x, double y);
 
 typedef struct {
     volatile int64_t stop;
@@ -900,11 +998,19 @@ typedef struct {
     volatile int64_t err_line;
     volatile int64_t err_a;
     volatile int64_t err_b;
+    int64_t max_depth;
 } tt_ctx;
+
+/* Error codes 7-9 are deopts: the caller reruns on the fast path. */
+#define TT_OVERFLOW 7
+#define TT_ALLOC 8
+#define TT_DEPTH 9
 
 int64_t tt_abi(void) { return @ABI@; }
 
-/* First error wins; later failures in other workers are dropped. */
+/* First error wins; later failures in other workers are dropped.  Cold
+ * and out of line: every checked operation branches here. */
+__attribute__((cold, noinline))
 static void tt_fail(tt_ctx *c, int64_t code, int64_t line,
                     int64_t a, int64_t b) {
     if (!c->err) {
@@ -918,66 +1024,119 @@ static void tt_fail(tt_ctx *c, int64_t code, int64_t line,
 /* Polled at every loop back-edge: stops hot loops on error or interrupt. */
 #define TT_CHECK if (((++_tick) & 1023) == 0 && (ctx->stop | ctx->err)) break;
 
-static int64_t tt_ineg(int64_t a) { return (int64_t)(0 - (uint64_t)a); }
+/* Entry guard of every lowered function: nonzero when the body must not
+ * run (an error, a stop, or a call one frame too deep). */
+static inline int tt_enter(tt_ctx *c, int64_t depth, int64_t line) {
+    if (c->stop | c->err) return 1;
+    if (depth >= c->max_depth) {
+        tt_fail(c, TT_DEPTH, line, depth, 0);
+        return 1;
+    }
+    return 0;
+}
 
-static int64_t tt_idiv(tt_ctx *c, int64_t a, int64_t b, int64_t line) {
+#define TT_ARITH(NAME, OP) \\
+static inline int64_t NAME(tt_ctx *c, int64_t a, int64_t b, \\
+                           int64_t line) { \\
+    int64_t r; \\
+    if (__builtin_expect(OP(a, b, &r), 0)) \\
+        tt_fail(c, TT_OVERFLOW, line, 0, 0); \\
+    return r; \\
+}
+TT_ARITH(tt_add, __builtin_add_overflow)
+TT_ARITH(tt_sub, __builtin_sub_overflow)
+TT_ARITH(tt_mul, __builtin_mul_overflow)
+
+static inline int64_t tt_ineg(tt_ctx *c, int64_t a, int64_t line) {
+    return tt_sub(c, 0, a, line);
+}
+
+static inline int64_t tt_idiv(tt_ctx *c, int64_t a, int64_t b, int64_t line) {
     if (b == 0) { tt_fail(c, 1, line, 0, 0); return 0; }
-    if (b == -1) return tt_ineg(a);  /* INT64_MIN / -1 would trap */
+    if (b == -1) return tt_ineg(c, a, line);  /* INT64_MIN / -1 */
     return a / b;  /* C99: truncation toward zero, same as Tetra int_div */
 }
 
-static int64_t tt_imod(tt_ctx *c, int64_t a, int64_t b, int64_t line) {
+static inline int64_t tt_imod(tt_ctx *c, int64_t a, int64_t b, int64_t line) {
     if (b == 0) { tt_fail(c, 2, line, 0, 0); return 0; }
     if (b == -1) return 0;
     return a % b;  /* C99: sign of dividend, same as Tetra int_mod */
 }
 
-static double tt_rdiv(tt_ctx *c, double a, double b, int64_t line) {
+static inline double tt_rdiv(tt_ctx *c, double a, double b, int64_t line) {
     if (b == 0.0) { tt_fail(c, 3, line, 0, 0); return 0.0; }
     return a / b;
 }
 
-static double tt_rmod(tt_ctx *c, double a, double b, int64_t line) {
+static inline double tt_rmod(tt_ctx *c, double a, double b, int64_t line) {
     if (b == 0.0) { tt_fail(c, 4, line, 0, 0); return 0.0; }
     return fmod(a, b);
 }
 
 /* Buffers are always allocated with at least one element, so the
  * error-path index 0 reads allocated memory while the error latches. */
-static int64_t tt_idx(tt_ctx *c, int64_t n, int64_t i, int64_t line) {
+static inline int64_t tt_idx(tt_ctx *c, int64_t n, int64_t i, int64_t line) {
     if (i < 0 || i >= n) { tt_fail(c, 5, line, i, n); return 0; }
     return i;
 }
 
-static double tt_sqrt(tt_ctx *c, double x, int64_t line) {
+static inline double tt_sqrt(tt_ctx *c, double x, int64_t line) {
     if (x < 0.0) { tt_fail(c, 6, line, 0, 0); return 0.0; }
     return sqrt(x);
 }
 
-static int64_t tt_f2i(tt_ctx *c, double f, int64_t line) {
+static inline int64_t tt_f2i(tt_ctx *c, double f, int64_t line) {
     if (!(f >= -9223372036854775808.0 && f < 9223372036854775808.0)) {
-        tt_fail(c, 7, line, 0, 0);
+        tt_fail(c, TT_OVERFLOW, line, 0, 0);
         return 0;
     }
     return (int64_t)f;
 }
 
-static int64_t tt_floor(tt_ctx *c, double x, int64_t line) {
+static inline int64_t tt_floor(tt_ctx *c, double x, int64_t line) {
     return tt_f2i(c, floor(x), line);
 }
 
-static int64_t tt_ceil(tt_ctx *c, double x, int64_t line) {
+static inline int64_t tt_ceil(tt_ctx *c, double x, int64_t line) {
     return tt_f2i(c, ceil(x), line);
 }
 
 /* Tetra round(): nearest int, ties away from zero (mathlib round). */
-static int64_t tt_round(tt_ctx *c, double x, int64_t line) {
+static inline int64_t tt_round(tt_ctx *c, double x, int64_t line) {
     return tt_f2i(c, x >= 0.0 ? floor(x + 0.5) : ceil(x - 0.5), line);
 }
 
-static int64_t tt_iabs(int64_t a) { return a < 0 ? tt_ineg(a) : a; }
-static int64_t tt_imin(int64_t a, int64_t b) { return a < b ? a : b; }
-static int64_t tt_imax(int64_t a, int64_t b) { return a > b ? a : b; }
+static inline int64_t tt_iabs(tt_ctx *c, int64_t a, int64_t line) {
+    return a < 0 ? tt_ineg(c, a, line) : a;
+}
+static inline int64_t tt_imin(int64_t a, int64_t b) { return a < b ? a : b; }
+static inline int64_t tt_imax(int64_t a, int64_t b) { return a > b ? a : b; }
+
+/* Local arrays: each starts on a one-element placeholder in its frame
+ * (`spare`, length 0) and owns every buffer assigned to it after that.
+ * A failed allocation latches a deopt and leaves the placeholder, so
+ * error-path index 0 still reads valid memory. */
+static void tt_free(void *buf, void *spare) { if (buf != spare) free(buf); }
+
+#define TT_NEW(NAME, T) \\
+static T *NAME(tt_ctx *c, T *old, T *spare, int64_t *len, int64_t n, \\
+               T fill, int64_t line) { \\
+    T *buf = 0; \\
+    int64_t i; \\
+    tt_free(old, spare); \\
+    *len = 0; \\
+    if (c->stop | c->err) return spare; \\
+    if (n < 0 || (uint64_t)n >= SIZE_MAX / sizeof(T) \\
+            || !(buf = (T *)malloc(sizeof(T) * (size_t)(n ? n : 1)))) { \\
+        tt_fail(c, TT_ALLOC, line, n, 0); \\
+        return spare; \\
+    } \\
+    for (i = 0; i < n; i++) buf[i] = fill; \\
+    *len = n; \\
+    return buf; \\
+}
+TT_NEW(tt_inew, int64_t)
+TT_NEW(tt_rnew, double)
 """
 
 
@@ -1005,21 +1164,15 @@ def _check_locals(scope) -> None:
     for name in scope.names():
         info = scope.lookup(name)
         ty = info.type
-        if _is_scalar(ty):
+        if _is_scalar(ty) or _is_scalar_array(ty):
             continue
-        if _is_scalar_array(ty):
-            if info.is_parameter:
-                continue
-            raise _Ineligible(
-                f"local array '{name}' would need allocation inside C"
-            )
         raise _Ineligible(
             f"variable '{name}' has type {ty}, which is not lowered"
         )
 
 
 def _fn_signature_text(meta) -> str:
-    params = ["tt_ctx *ctx"]
+    params = ["tt_ctx *ctx", "int64_t depth"]
     for pname, pty in zip(meta.param_names, meta.param_types):
         if isinstance(pty, ArrayType):
             params.append(f"{_ctype(pty.element)} *v_{pname}")
@@ -1041,33 +1194,48 @@ def _emit_function(fn, sig, scope, callables: dict,
             "a path may fall off the end without returning a value"
         )
 
+    params = set(sig.param_names)
+    local_arrays = [
+        name for name in scope.names()
+        if name not in params
+        and isinstance(scope.lookup(name).type, ArrayType)
+    ]
+
     def resolve(name):
         info = scope.lookup(name)
         if info is None:
             raise _Ineligible(f"unknown variable '{name}'")
         ty = info.type
         if isinstance(ty, ArrayType):
-            return _ArrayRef(f"v_{name}", f"v_{name}_n", ty.element)
+            return _ArrayRef(f"v_{name}", f"v_{name}_n", ty.element,
+                             owned=name in local_arrays)
         return _ScalarRef(f"v_{name}", ty, True)
 
-    em = _Emitter(callables, resolve, line_spans)
+    zero = "return;" if ret is VOID else f"return ({_ctype(ret)})0;"
+    em = _Emitter(callables, resolve, line_spans,
+                  owned=tuple(f"v_{name}" for name in local_arrays))
     em.ret_ty = ret
     em.block(fn.body)
+    em.out_exit(zero)
 
     meta = callables[fn.name]
-    lines = [_fn_signature_text(meta) + " {"]
+    attr = "__attribute__((noinline)) " if meta.recursive else ""
+    lines = [attr + _fn_signature_text(meta) + " {"]
+    lines.append(f"    if (__builtin_expect(tt_enter(ctx, depth, {meta.line}),"
+                 f" 0)) {zero}")
     lines.append("    int64_t _tick = 0; (void)_tick;")
-    params = set(sig.param_names)
     for name in scope.names():
         if name in params:
             continue
         ty = scope.lookup(name).type
-        lines.append(f"    {_ctype(ty)} v_{name} = 0;")
+        if name in local_arrays:
+            elem = _ctype(ty.element)
+            lines.append(f"    {elem} v_{name}_spare[1] = {{0}};")
+            lines.append(f"    {elem} *v_{name} = v_{name}_spare;")
+            lines.append(f"    int64_t v_{name}_n = 0;")
+        else:
+            lines.append(f"    {_ctype(ty)} v_{name} = 0;")
     lines.extend(em.lines)
-    if ret is VOID:
-        lines.append("    return;")
-    else:
-        lines.append(f"    return ({_ctype(ret)})0;")
     lines.append("}")
     return "\n".join(lines)
 
@@ -1078,8 +1246,8 @@ def _emit_function(fn, sig, scope, callables: dict,
 def _loop_signature_text(meta) -> str:
     item_c = _ctype(meta.var_ty)
     params = [
-        "tt_ctx *ctx", "int64_t nworkers", "int64_t *starts",
-        "int64_t *counts", f"{item_c} *items",
+        "tt_ctx *ctx", "int64_t depth", "int64_t nworkers",
+        "int64_t *starts", "int64_t *counts", f"{item_c} *items",
     ]
     for name, ty in meta.env:
         if isinstance(ty, ArrayType):
@@ -1114,7 +1282,10 @@ def _emit_loop(stmt, meta, program, callables: dict,
             return _ArrayRef(f"v_{name}", f"v_{name}_n", ty.element)
         return _ScalarRef(f"v_{name}", ty, False)
 
-    em = _Emitter(callables, resolve, line_spans, in_parallel_body=True)
+    # The body runs in its function's frame: calls from it are made at
+    # the loop's own call-stack depth.
+    em = _Emitter(callables, resolve, line_spans, in_parallel_body=True,
+                  call_depth="depth")
     em.ret_ty = VOID
     em.depth = 2
     em.block(stmt.body)
@@ -1123,6 +1294,7 @@ def _emit_loop(stmt, meta, program, callables: dict,
     cname = meta.cname
     struct_fields = [
         "    tt_ctx *ctx;",
+        "    int64_t depth;",
         "    int64_t start;",
         "    int64_t count;",
         f"    {item_c} *items;",
@@ -1145,6 +1317,7 @@ def _emit_loop(stmt, meta, program, callables: dict,
     lines.append(f"static void *{cname}_run(void *arg) {{")
     lines.append(f"    {cname}_env *e = ({cname}_env *)arg;")
     lines.append("    tt_ctx *ctx = e->ctx;")
+    lines.append("    int64_t depth = e->depth; (void)depth;")
     lines.append("    int64_t _tick = 0; (void)_tick;")
     lines.append(f"    {item_c} v_{var} = 0;")
     for name, ty in meta.env:
@@ -1179,11 +1352,12 @@ def _emit_loop(stmt, meta, program, callables: dict,
     lines.append("    int64_t w;")
     lines.append("    if (!envs || !tids || !live) {")
     lines.append("        free(envs); free(tids); free(live);")
-    lines.append(f"        tt_fail(ctx, 8, {meta.line}, 0, 0);")
+    lines.append(f"        tt_fail(ctx, TT_ALLOC, {meta.line}, 0, 0);")
     lines.append("        return 0;")
     lines.append("    }")
     lines.append("    for (w = 0; w < nworkers; w++) {")
     lines.append("        envs[w].ctx = ctx;")
+    lines.append("        envs[w].depth = depth;")
     lines.append("        envs[w].start = starts[w];")
     lines.append("        envs[w].count = counts[w];")
     lines.append("        envs[w].items = items;")
@@ -1313,19 +1487,7 @@ def lower_program(program, symbols) -> Lowering:
             continue
         candidates[fn.name] = fn
 
-    # Stage 2: recursion (direct or mutual) stays on the fast path — the
-    # C tier has no recursion-depth guard.
-    edges = {
-        name: _call_targets(fn, set(candidates))
-        for name, fn in candidates.items()
-    }
-    for name in list(candidates):
-        if _in_cycle(name, edges):
-            note(candidates[name].span.line,
-                 f"'{name}': recursion is not lowered")
-            del candidates[name]
-
-    # Stage 3: emission fixpoint.  A candidate whose body fails to lower
+    # Stage 2: emission fixpoint.  A candidate whose body fails to lower
     # (or that calls a non-candidate) drops out; dropping it can strand
     # its callers, so retry until the set is stable, then keep the last
     # full emission.
@@ -1333,6 +1495,10 @@ def lower_program(program, symbols) -> Lowering:
     metas: dict[str, _CFn] = {}
     line_spans: dict[int, Span] = {}
     while True:
+        edges = {
+            name: _call_targets(fn, set(candidates))
+            for name, fn in candidates.items()
+        }
         metas = {
             name: _CFn(
                 name=name,
@@ -1341,9 +1507,12 @@ def lower_program(program, symbols) -> Lowering:
                 param_types=symbols.functions[name].param_types,
                 return_type=symbols.functions[name].return_type,
                 line=fn.span.line,
+                recursive=_in_cycle(name, edges),
             )
             for name, fn in candidates.items()
         }
+        # Every user function, lowered (its _CFn) or not (None).
+        callables = {fn.name: None for fn in program.functions} | metas
         fn_texts = []
         line_spans = {}
         failed = False
@@ -1351,7 +1520,7 @@ def lower_program(program, symbols) -> Lowering:
             try:
                 fn_texts.append(_emit_function(
                     fn, symbols.functions[name],
-                    symbols.scope_of(name), metas, line_spans,
+                    symbols.scope_of(name), callables, line_spans,
                 ))
             except _Ineligible as exc:
                 note(fn.span.line, f"'{name}': {exc.reason}")
@@ -1360,7 +1529,7 @@ def lower_program(program, symbols) -> Lowering:
         if not failed:
             break
 
-    # Stage 4: parallel-for kernels (top-level functions only).
+    # Stage 3: parallel-for kernels (top-level functions only).
     loops: list = []
     loop_texts: list[str] = []
     k = 0
@@ -1373,7 +1542,7 @@ def lower_program(program, symbols) -> Lowering:
                 meta = _plan_loop(fn, scope, node, program)
                 meta.cname = f"tt_pf{k}"
                 loop_texts.append(
-                    _emit_loop(node, meta, program, metas, line_spans)
+                    _emit_loop(node, meta, program, callables, line_spans)
                 )
             except _Ineligible as exc:
                 note(node.span.line, exc.reason)
@@ -1392,7 +1561,7 @@ def lower_program(program, symbols) -> Lowering:
 
     cdef_lines = [
         "typedef struct { int64_t stop; int64_t err; int64_t err_line; "
-        "int64_t err_a; int64_t err_b; } tt_ctx;",
+        "int64_t err_a; int64_t err_b; int64_t max_depth; } tt_ctx;",
         "int64_t tt_abi(void);",
     ]
     cdef_lines.extend(protos)
@@ -1409,6 +1578,17 @@ def lower_program(program, symbols) -> Lowering:
 # ----------------------------------------------------------------------
 # Runtime: the per-run native tier
 # ----------------------------------------------------------------------
+#: What ``NativeRun._call`` returns when the C code deopted.
+_DEOPT = object()
+
+
+class _Bypass(threading.local):
+    """Set on a thread while a deopted call reruns on the fast path, so
+    the rerun never re-enters C."""
+
+    active = False
+
+
 class NativeRun:
     """One run's handle on the native tier.
 
@@ -1427,11 +1607,18 @@ class NativeRun:
         #: for another tree that lowered to the same C source).
         self.lowering = lowering
         self._watcher: _Watcher | None = None
+        self._bypass = _Bypass()
 
-    # -- core C call with error/interrupt protocol ---------------------
+    # -- core C call with error/interrupt/deopt protocol ---------------
     def _call(self, func, cargs, ctx, span):
+        """Run one C entry point from ``ctx``'s call depth.  Returns its
+        result, or ``_DEOPT`` (counted in the state) when the caller must
+        rerun on the fast path; raises mapped Tetra errors."""
         module = self.module
         cctx = module.ffi.new("tt_ctx *")
+        depth = len(ctx.call_stack)
+        cctx.max_depth = min(self.interp.config.recursion_limit,
+                             depth + C_DEPTH_CAP)
         guard = self.interp._guard
         token = None
         if guard is not None:
@@ -1441,13 +1628,17 @@ class NativeRun:
         try:
             # cffi releases the GIL around the call: other Python threads
             # (including the guard watcher) keep running.
-            ret = func(cctx, *cargs)
+            ret = func(cctx, depth, *cargs)
         finally:
             stored = (self._watcher.unwatch(token)
                       if token is not None else None)
         if stored is not None:
             raise stored
         if cctx.err:
+            cause = _DEOPT_CAUSES.get(cctx.err)
+            if cause is not None:
+                self.state.note_deopt(cctx.err_line, cause)
+                return _DEOPT
             err_span = self.lowering.line_spans.get(cctx.err_line, span)
             exc = _map_error(cctx.err, cctx.err_a, cctx.err_b, err_span)
             if self.interp.source is not None:
@@ -1478,8 +1669,11 @@ class NativeRun:
         ret_ty = meta.return_type
         state = self.state
         interp = self.interp
+        bypass = self._bypass
 
         def invoke(args, ctx, span):
+            if bypass.active:
+                return fallback(args, ctx, span)
             cargs = []
             writebacks = []
             try:
@@ -1504,6 +1698,13 @@ class NativeRun:
                 return fallback(args, ctx, span)
             state.calls += 1
             ret = self._call(func, cargs, ctx, span)
+            if ret is _DEOPT:
+                # Nothing was copied back: rerun exactly, C-free.
+                bypass.active = True
+                try:
+                    return fallback(args, ctx, span)
+                finally:
+                    bypass.active = False
             for arr, buf, n, elem in writebacks:
                 data = list(ffi.unpack(buf, n)) if n else []
                 if isinstance(elem, BoolType):
@@ -1533,7 +1734,7 @@ class NativeRun:
 
     # -- parallel-for offload ------------------------------------------
     def try_parallel_for(self, interp, stmt, items, ctx) -> bool:
-        if self.module is None:
+        if self.module is None or self._bypass.active:
             return False
         meta = self.lowering.loop_meta.get(stmt)
         if meta is None:
@@ -1629,7 +1830,8 @@ class NativeRun:
         func = getattr(self.module.lib, meta.cname)
         obs = interp._obs
         t0 = obs.clock() if (obs is not None and obs.trace) else 0.0
-        self._call(func, cargs, ctx, stmt.span)
+        if self._call(func, cargs, ctx, stmt.span) is _DEOPT:
+            return False  # nothing merged or copied back: rerun exactly
         # Merge: same math as the proc backend.  sum: the initial value
         # plus each worker's delta; min/max: extreme of initial + finals.
         for (name, op, ty), init, out in zip(

@@ -81,8 +81,9 @@ class RunMetrics:
     proc: dict | None = None
     #: Native-tier results (``--native`` runs only): mode, whether the
     #: tier came up (and the notice when it didn't), lowered function
-    #: names, kernel call counts, artifact-cache hit, and (line, reason)
-    #: for everything that stayed on the fast path.
+    #: names, kernel call counts, artifact-cache hit, (line, reason)
+    #: for everything that stayed on the fast path, and (line, cause,
+    #: count) for the calls that deopted and reran there.
     native: dict | None = None
 
     def to_dict(self) -> dict:
@@ -199,6 +200,11 @@ class RunMetrics:
                 lines.append(
                     f"    line {line_no}: stayed on the fast path — "
                     f"{reason}"
+                )
+            for line_no, cause, count in n["deopts"]:
+                lines.append(
+                    f"    line {line_no}: deopted to the fast path — "
+                    f"{cause} ({count} time(s))"
                 )
         return "\n".join(lines)
 

@@ -12,7 +12,7 @@ import importlib.util
 import textwrap
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.api import run_source
 from repro.compiler import run_compiled
@@ -266,12 +266,22 @@ def native_function_programs(draw):
     return "\n".join(fn) + "\n\n" + "\n".join(main) + "\n"
 
 
+#: A counterexample hypothesis found: the kernel's intermediates leave
+#: int64 (26986562467134273792), which native code must not wrap.
+INT64_OVERFLOW_KERNEL = (
+    "def kernel(a int, b int, c int) int:\n"
+    + "    a = b\n    c = 9 * (a * a)\n    b = c\n" * 4
+    + "    return a + b + c\n\ndef main():\n    print(kernel(0, 2, 0))\n"
+)
+
+
 @pytest.mark.skipif(
     find_compiler() is None
     or importlib.util.find_spec("cffi") is None,
     reason="no C toolchain (compiler + cffi) on this machine")
 class TestNativeFuzz:
     @given(native_function_programs())
+    @example(INT64_OVERFLOW_KERNEL)
     @settings(max_examples=60, deadline=None)
     def test_native_functions_match_tree_walker(self, text):
         walker = run_source(text, native="off").output

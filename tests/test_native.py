@@ -1,6 +1,6 @@
 """The native compiled tier: Tetra→C kernels (``repro.compiler.native``).
 
-Three groups:
+Four groups:
 
 * toolchain-free tests (eligibility decisions, mode gating, the
   shared cached tree, graceful degradation without a C compiler) — these
@@ -8,6 +8,9 @@ Three groups:
 * differential tests (walker vs. native on the same program, including
   error messages, reductions under every chunking policy, and the
   observability surface) — skipped when no compiler is present;
+* recursion, local arrays and the deopt protocol: the recursion limit,
+  deep recursion, time limits, allocation and overflow give the same
+  output and diagnostic with the tier on and off;
 * artifact-cache tests (reuse across runs, corrupt-file recovery).
 """
 
@@ -28,7 +31,7 @@ from repro.api import (
     program_cache_info,
     run_source,
 )
-from repro.errors import TetraLimitError, TetraNativeError
+from repro.errors import TetraLimitError, TetraNativeError, exit_code_for
 from repro.runtime.backend import RuntimeConfig
 from repro.tetra_ast import walk
 
@@ -184,12 +187,25 @@ def fact(n int) int:
         return 1
     return n * fact(n - 1)
 
+def scratch(n int) int:
+    xs = array(n, 0)
+    xs[0] = n
+    return xs[0]
+
 def greet(name string) string:
     return name
 
 def local_array(n int) int:
     xs = [0 ... n]
     return len(xs)
+
+def alias(xs [int]) int:
+    ys = array(len(xs), 0)
+    ys = xs
+    return len(ys)
+
+def evens(n int) [int]:
+    return array(n, 0)
 
 def shout(x int):
     print(x)
@@ -206,14 +222,19 @@ class TestEligibility:
 
     def test_numeric_functions_lower_and_others_report_why(self):
         low = self.lowering(ELIGIBILITY)
-        assert "square" in low.functions
+        # Recursion and a non-escaping local array(n, fill) lower.
+        assert {"square", "fact", "scratch"} <= set(low.functions)
         reasons = {r for _line, r in low.fallbacks}
-        assert any("recursion" in r for r in reasons)
-        assert any("greet" in r for r in reasons)
-        assert any("local_array" in r for r in reasons)
-        assert any("print" in r for r in reasons)
+        assert not any("recursion" in r for r in reasons)
+        # Strings, array aliasing, array-typed returns and print do not.
+        assert any("'greet'" in r and "string" in r for r in reasons)
+        assert any("'local_array'" in r and "aliasing" in r
+                   for r in reasons)
+        assert any("'alias'" in r and "aliasing" in r for r in reasons)
+        assert any("'evens'" in r and "return type" in r for r in reasons)
+        assert any("'shout'" in r and "print" in r for r in reasons)
 
-    def test_mutual_recursion_is_rejected(self):
+    def test_mutual_recursion_lowers_noinline(self):
         low = self.lowering("""
         def even(n int) bool:
             if n == 0:
@@ -228,11 +249,37 @@ class TestEligibility:
         def main():
             print(even(10))
         """)
+        assert set(low.functions) == {"even", "odd"}
+        assert all(low.functions[n].recursive for n in ("even", "odd"))
+        assert low.c_source.count("__attribute__((noinline))") == 2
+        assert not [r for _line, r in low.fallbacks
+                    if "'even'" in r or "'odd'" in r]
+
+    def test_a_user_function_shadowing_a_builtin_stays_a_call(self):
+        low = self.lowering("""
+        def sqrt(x real) real:
+            print("mine")
+            return x
+
+        def array(n int, fill int) [int]:
+            return [n, fill]
+
+        def root(x real) real:
+            return sqrt(x)
+
+        def first(n int) int:
+            xs = array(n, 0)
+            return xs[0]
+
+        def main():
+            print(root(4.0))
+            print(first(3))
+        """)
         assert not low.functions
-        cycle_reasons = [r for _line, r in low.fallbacks
-                         if "'even'" in r or "'odd'" in r]
-        assert cycle_reasons
-        assert all("recursion" in r for r in cycle_reasons)
+        reasons = {r for _line, r in low.fallbacks}
+        assert "'root': calls 'sqrt', which is not lowered" in reasons
+        assert any("'first'" in r and "array(n, fill)" in r
+                   for r in reasons)
 
     def test_reduction_loop_plans_into_a_kernel(self):
         low = self.lowering("""
@@ -456,17 +503,18 @@ class TestRuntimeSurface:
 
     def test_fallback_reasons_carry_line_numbers(self):
         result = run("""
-        def fact(n int) int:
-            if n <= 1:
-                return 1
-            return n * fact(n - 1)
+        def first(xs [int]) int:
+            ys = array(1, 0)
+            ys = xs
+            return ys[0]
 
         def main():
-            print(fact(10))
+            print(first([7, 8]))
         """, metrics=True)
+        assert result.output == "7\n"
         fallbacks = dict(result.metrics.native["fallbacks"])
-        assert any("recursion" in why for why in fallbacks.values())
-        assert all(isinstance(line, int) and line > 0 for line in fallbacks)
+        assert "aliasing" in fallbacks[2] and "'first'" in fallbacks[2]
+        assert "print" in fallbacks[7]
 
     def test_time_limit_interrupts_a_hot_native_loop(self):
         started = time.perf_counter()
@@ -496,6 +544,210 @@ class TestRuntimeSurface:
             print(cube(3))
         """, trace=True)
         assert result.output.startswith("27") or "27" in result.output
+
+
+# ----------------------------------------------------------------------
+# Recursion, local arrays, and the deopt protocol
+# ----------------------------------------------------------------------
+DOWN = """
+def down(n int) int:
+    if n == 0:
+        return 0
+    return 1 + down(n - 1)
+
+def main():
+    print(down(DEPTH))
+"""
+
+
+def outcome(text, mode, **kwargs):
+    """What a user sees from one run: output, exit code, and the
+    rendered diagnostic with its span."""
+    result = run_source(textwrap.dedent(text), native=mode,
+                        on_error="return", **kwargs)
+    err = result.error
+    if err is None:
+        return result.output, 0, None, None
+    return (result.output, exit_code_for(err), err.render(),
+            (err.span.line, err.span.column))
+
+
+def deopts(result):
+    return [(cause, count) for _line, cause, count
+            in result.metrics.native["deopts"]]
+
+
+@needs_cc
+class TestDeopt:
+    @pytest.mark.parametrize("frames", [59, 60])
+    def test_recursion_limit_boundary_is_exact(self, frames):
+        # recursion_limit=60 allows 59 frames of down() under main: depth
+        # N-1 succeeds and depth N fails, identically on both tiers.
+        text = DOWN.replace("DEPTH", str(frames - 1))
+        off, on = (outcome(text, mode, recursion_limit=60)
+                   for mode in ("off", "require"))
+        assert on == off
+        if frames < 60:
+            assert off[:2] == (f"{frames - 1}\n", 0)
+        else:
+            assert off[1] != 0 and "recursion depth exceeded 60" in off[2]
+
+    def test_deep_recursion_deopts_past_the_c_cap(self):
+        text = DOWN.replace("DEPTH", "20000")
+        off = outcome(text, "off", recursion_limit=100_000)
+        assert off == ("20000\n", 0, None, None)
+        result = run(text, recursion_limit=100_000, metrics=True)
+        assert result.output == off[0]
+        assert deopts(result) == [("depth", 1)]
+
+    @pytest.mark.parametrize("mode", ["off", "require"])
+    def test_time_limit_stops_exponential_recursion(self, mode):
+        started = time.perf_counter()
+        result = run_source(textwrap.dedent("""
+        def fib(n int) int:
+            if n < 2:
+                return n
+            return fib(n - 1) + fib(n - 2)
+
+        def main():
+            print(fib(60))
+        """), native=mode, time_limit=0.5, on_error="return")
+        assert result.aborted_by == "time"
+        assert time.perf_counter() - started < 0.5 + 2.5
+
+    def test_negative_array_length_gives_the_fast_path_diagnostic(self):
+        text = """
+        def make(n int) int:
+            xs = array(n, 0)
+            return len(xs)
+
+        def main():
+            print(make(3))
+            print(make(-1))
+        """
+        off, on = (outcome(text, mode) for mode in ("off", "require"))
+        assert on == off
+        assert off[0] == "3\n"
+        assert "array() length must be >= 0, not -1" in off[2]
+        result = run(text, metrics=True, on_error="return")
+        assert result.metrics.native["deopts"] == [[3, "alloc", 1]]
+
+    def test_a_deopted_call_is_counted_and_its_rerun_stays_in_python(self):
+        result = run_source(
+            (EXAMPLES / "figure1_factorial.ttr").read_text(),
+            inputs=["25"], native="require", metrics=True)
+        assert result.output.endswith("15511210043330985984000000\n")
+        info = result.metrics.native
+        # One C entry overflowed; its rerun made 26 fact() calls, none
+        # of which entered C again.
+        assert info["deopts"] == [[6, "overflow", 1]]
+        assert info["calls"] == 1
+        assert "deopted to the fast path — overflow" in \
+            result.metrics.render()
+
+    def test_every_overflow_reruns_exactly(self):
+        kind, out = differential("""
+        def quo(a int, b int) int:
+            return a / b
+
+        def neg(a int) int:
+            return -a
+
+        def mag(a int) int:
+            return abs(a)
+
+        def fl(x real) int:
+            return floor(x)
+
+        def grow(a int, b int, c int) int:
+            a = b
+            c = 9 * (a * a)
+            b = c
+            a = b
+            c = 9 * (a * a)
+            b = c
+            a = b
+            c = 9 * (a * a)
+            b = c
+            a = b
+            c = 9 * (a * a)
+            b = c
+            return a + b + c
+
+        def main():
+            m = -9223372036854775807 - 1
+            print(quo(m, -1))
+            print(neg(m))
+            print(mag(m))
+            print(fl(1e30))
+            print(grow(0, 2, 0))
+        """)
+        assert kind == "ok"
+        assert out.splitlines()[:3] == [str(2 ** 63)] * 3
+
+    def test_range_ending_at_int64_max_terminates(self):
+        # The C loop used to step its counter past the bound, which
+        # wraps at INT64_MAX and never ends; the time limit turns that
+        # hang into a failure.
+        text = """
+        def count(lo int, hi int) int:
+            total = 0
+            i = 0
+            for i in [lo ... hi]:
+                total += 1
+            return total * 1000 + i % 1000
+
+        def main():
+            print(count(9223372036854775806, 9223372036854775807))
+            print(count(-3, 3))
+            print(count(5, 4))
+        """
+        off, on = (outcome(text, mode, time_limit=10)
+                   for mode in ("off", "require"))
+        assert on == off == ("2807\n7003\n0\n", 0, None, None)
+
+    def test_local_arrays_are_owned_per_frame(self):
+        kind, out = differential("""
+        def fill_sum(n int) real:
+            xs = array(n, 0.5)
+            flags = array(n, false)
+            total = 0.0
+            i = 0
+            while i < n:
+                xs = array(n, xs[i] + 1.0)
+                flags[i] = i % 2 == 0
+                if flags[i]:
+                    total += xs[i]
+                i += 1
+            return total
+
+        def scale(xs [int], k int):
+            for i in [0 ... len(xs) - 1]:
+                xs[i] = xs[i] * k
+
+        def tree(n int) int:
+            if n == 0:
+                return 1
+            ys = array(n, 2)
+            scale(ys, n)
+            return ys[n - 1] + tree(n - 1)
+
+        def main():
+            print(fill_sum(6))
+            print(tree(8))
+        """)
+        assert kind == "ok"
+
+    def test_tsp_search_and_solve_loop_run_in_c(self):
+        path = EXAMPLES / "tsp_7.ttr"
+        plain = run_source(path.read_text(), num_workers=2)
+        result = run_source(path.read_text(), native="require",
+                            num_workers=2, metrics=True)
+        assert result.output == plain.output
+        info = result.metrics.native
+        assert {"search", "tour_from_pair"} <= set(info["functions"])
+        assert info["parallel_loops"] == 1 and info["parallel_calls"] == 1
+        assert info["deopts"] == []
 
 
 # ----------------------------------------------------------------------
