@@ -331,7 +331,11 @@ class CoopScheduler:
             self.turn_holder = chosen
             self._last_holder = chosen
             rec = self.turn_recorder
-            if rec is not None:
+            if rec is not None and self.abort_exc is None:
+                # Turns handed out after a program-wide abort only let
+                # threads unwind (they raise at their next wait), in an
+                # order the host OS picks; like teardown grants, they are
+                # not part of the run's schedule.
                 rec.turn(record.label)
             self.cv.notify_all()
             return

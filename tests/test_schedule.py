@@ -152,6 +152,17 @@ class TestOtherBackends:
         assert rep.schedule["turns"] == rec.schedule["turns"]
         assert rep.schedule["lock_grants"] == rec.schedule["lock_grants"]
 
+    def test_coop_deadlock_recording_is_deterministic(self):
+        """The turns after a coop deadlock only unwind threads, in an order
+        the host OS picks; they stay out of the artifact, so recording the
+        same deadlock twice gives the same schedule, and it still replays
+        faithfully."""
+        recs = [record(ABBA, "coop") for _ in range(6)]
+        assert {rec.aborted_by for rec in recs} == {"deadlock"}
+        assert all(rec.schedule["turns"] == recs[0].schedule["turns"]
+                   for rec in recs)
+        assert_faithful(recs[0], replay_schedule(recs[0].schedule))
+
     @pytest.mark.parametrize("backend", ["sequential", "sim"])
     def test_deterministic_backends(self, backend):
         rec = record(PFOR, backend, races=False)
