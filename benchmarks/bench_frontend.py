@@ -73,7 +73,7 @@ def measure(rounds: int) -> dict:
         # times them on fresh trees built outside the timed region.
         fresh = [parse_source(src) for src in sources]
         checked = _checked(sources)
-        interps = [Interpreter(p, src, fast=False)
+        interps = [Interpreter(p, src)
                    for p, src in zip(_checked(sources), sources)]
         times = {
             "lex": _timed(lambda: [Scanner(src).scan() for src in sources]),

@@ -2,12 +2,14 @@
 
 The paper's future-work native compiler exists "so Tetra programs can be
 run more efficiently than with the interpreter"; this benchmark measures
-the whole ladder on fib(18):
+the ladder on fib(18):
 
-* the seed **tree-walking interpreter** (``fast=False``, per-node dispatch),
-* the **closure fast path** (``repro.interp.compile``, the default),
+* the **closure fast path** (``repro.interp.compile``, the interpreter),
 * the Tetra→Python **compiler**,
 * **hand-written Python** as the floor.
+
+The gate is a ceiling on how far the interpreter trails the compiler
+(``fast_path / compiled``).
 
 Runs as a pytest-benchmark module (the repo's usual harness) and as a
 script — ``python benchmarks/bench_interp_overhead.py --smoke --json
@@ -36,9 +38,10 @@ FIB_TETRA = textwrap.dedent(f"""
         print(fib({FIB_N}))
 """)
 
-#: The fast path must beat the seed walker at least this much on fib
-#: (acceptance criterion of the precompilation work; measured ~2x).
-MIN_FAST_SPEEDUP = 1.8
+#: The fast path may trail the Tetra→Python compiler at most this much on
+#: fib.  Five runs on a 2-vCPU VM measured 64.5-70.3x; 95 keeps the
+#: headroom the old walker floor had (2.52x measured over 1.8x).
+MAX_FAST_OVER_COMPILED = 95
 
 
 def fib_python(n: int) -> int:
@@ -48,12 +51,6 @@ def fib_python(n: int) -> int:
 
 
 EXPECTED = str(fib_python(FIB_N))
-
-
-def run_walker():
-    """The seed tree-walking interpreter, no program cache."""
-    return run_source(FIB_TETRA, backend="sequential",
-                      fast=False, cache=False).output_lines()
 
 
 def run_fast_path():
@@ -79,11 +76,11 @@ def measure(rounds=5):
 
     Two methodology notes, both learned the hard way:
 
-    * Rounds are **interleaved** (walker, fast path, compiled, python,
-      then again) rather than timed back-to-back per strategy: shared CI
+    * Rounds are **interleaved** (fast path, compiled, python, then
+      again) rather than timed back-to-back per strategy: shared CI
       machines drift in speed over a benchmark's lifetime, and
       interleaving spreads that drift evenly across strategies so the
-      walker/fast-path *ratio* stays honest even when absolute times
+      fast-path/compiled *ratio* stays honest even when absolute times
       wobble.
     * The timing loop runs on a **fresh thread**.  CPython 3.11+ grows
       the frame stack in 16 KiB chunks and frees a chunk the moment
@@ -96,11 +93,9 @@ def measure(rounds=5):
       reproducible across harnesses.
     """
     module = load_compiled(compile_to_python(FIB_TETRA))
-    assert run_walker() == [EXPECTED]
     assert run_fast_path() == [EXPECTED]
     assert run_compiled_module(module) == [EXPECTED]
     strategies = {
-        "interpreter": run_walker,
         "fast_path": run_fast_path,
         "compiled": lambda: run_compiled_module(module),
         "python": lambda: fib_python(FIB_N),
@@ -136,26 +131,22 @@ if pytest is not None:
 
     def test_all_strategies_agree(benchmark, compiled_module):
         benchmark.pedantic(run_fast_path, rounds=1, iterations=1)
-        assert run_walker() == [EXPECTED]
         assert run_fast_path() == [EXPECTED]
         assert run_compiled_module(compiled_module) == [EXPECTED]
 
     def test_fast_path_agrees_on_all_backends(benchmark):
         benchmark.pedantic(run_fast_path, rounds=1, iterations=1)
         for backend in ("thread", "sequential", "coop", "sim"):
-            walker = run_source(FIB_TETRA, backend=backend,
-                                fast=False, cache=False).output
             fast = run_source(FIB_TETRA, backend=backend).output
-            assert walker == fast == EXPECTED + "\n"
+            assert fast == EXPECTED + "\n"
 
     def test_interpreter_overhead_table(benchmark, report):
         benchmark.pedantic(run_fast_path, rounds=1, iterations=1)
-        times = measure(rounds=5)
+        # As many rounds as the script's gated mode: the 0.5 ms compiled
+        # run makes the ratio noisier than the walker ratio it replaced.
+        times = measure(rounds=7)
         native = times["python"]
         rows = [
-            ["tree-walking interpreter",
-             round(times["interpreter"] * 1000, 1),
-             round(times["interpreter"] / native, 1)],
             ["closure fast path",
              round(times["fast_path"] * 1000, 1),
              round(times["fast_path"] / native, 1)],
@@ -165,18 +156,14 @@ if pytest is not None:
             ["hand-written Python",
              round(times["python"] * 1000, 1), 1.0],
         ]
-        speedup = times["interpreter"] / times["fast_path"]
+        ratio = times["fast_path"] / times["compiled"]
         report.emit(f"Ablation: execution strategy on fib({FIB_N})", [
-            *format_table(["strategy", "ms (best of 5)", "vs native"], rows),
-            f"closure precompilation is {speedup:.2f}x the tree walker; "
+            *format_table(["strategy", "ms (best of 7)", "vs native"], rows),
+            f"the closure fast path is {ratio:.1f}x the compiled module; "
             "the compiler removes the remaining interpretation overhead, "
             "as the paper's future-work section anticipates.",
         ])
-        assert times["compiled"] < times["interpreter"]
-        assert speedup >= MIN_FAST_SPEEDUP
-
-    def test_interpreted_fib(benchmark):
-        benchmark.pedantic(run_walker, rounds=3, iterations=1)
+        assert ratio <= MAX_FAST_OVER_COMPILED
 
     def test_fast_path_fib(benchmark):
         benchmark.pedantic(run_fast_path, rounds=3, iterations=1)
@@ -193,7 +180,7 @@ def main(argv=None):
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="fib wall-time for interpreter, fast path, compiled, "
+        description="fib wall-time for the closure fast path, compiled, "
                     "and hand-written Python",
     )
     parser.add_argument("--smoke", action="store_true",
@@ -204,25 +191,25 @@ def main(argv=None):
     args = parser.parse_args(argv)
 
     times = measure(rounds=3 if args.smoke else 7)
-    speedup = times["interpreter"] / times["fast_path"]
+    ratio = times["fast_path"] / times["compiled"]
     payload = {
         "benchmark": "interp_overhead",
         "workload": f"fib({FIB_N})",
         "mode": "smoke" if args.smoke else "full",
         "seconds": {k: round(v, 6) for k, v in times.items()},
-        "fast_path_speedup": round(speedup, 3),
-        "min_fast_speedup": MIN_FAST_SPEEDUP,
+        "fast_over_compiled": round(ratio, 3),
+        "max_fast_over_compiled": MAX_FAST_OVER_COMPILED,
     }
-    for name in ("interpreter", "fast_path", "compiled", "python"):
+    for name in ("fast_path", "compiled", "python"):
         print(f"{name:>12}: {times[name] * 1000:8.2f} ms")
-    print(f"fast path is {speedup:.2f}x the tree walker "
-          f"(floor: {MIN_FAST_SPEEDUP}x)")
+    print(f"fast path is {ratio:.1f}x the compiled module "
+          f"(ceiling: {MAX_FAST_OVER_COMPILED}x)")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)
             handle.write("\n")
         print(f"wrote {args.json}")
-    if speedup < MIN_FAST_SPEEDUP and not args.smoke:
+    if ratio > MAX_FAST_OVER_COMPILED and not args.smoke:
         return 1
     return 0
 

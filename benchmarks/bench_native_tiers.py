@@ -1,4 +1,4 @@
-"""Per-tier wall-clock comparison: walker vs. fast path vs. proc vs. native.
+"""Per-tier wall-clock comparison: fast path vs. proc vs. native.
 
 The native compiled tier's claim (DESIGN.md §2c) is that type-checked
 numeric kernels escape the interpreter loop entirely: the hot function and
@@ -15,9 +15,8 @@ on three workloads:
   allocates a local array per step, fanned out by a ``parallel for`` with
   a lock-guarded min reduction.
 
-Each workload runs on four tiers sharing one source program:
+Each workload runs on three tiers sharing one source program:
 
-* ``walker``  — the seed tree-walking interpreter (``fast=False``);
 * ``fast``    — the AST→closure fast path (the default pipeline);
 * ``proc``    — the process-parallel backend at machine-core workers;
 * ``native``  — ``--native=require``: C kernels on OS threads.
@@ -129,9 +128,7 @@ def main():
 
 def _time_tier(source, tier, jobs, repeats):
     kwargs = {}
-    if tier == "walker":
-        kwargs = {"fast": False, "cache": False}
-    elif tier == "proc":
+    if tier == "proc":
         kwargs = {"backend": "proc",
                   "config": RuntimeConfig(num_workers=jobs)}
     elif tier == "native":
@@ -156,7 +153,7 @@ def run_workload(name, source, jobs, repeats):
     print(f"{name}:")
     timings = {}
     baseline_out = None
-    for tier in ("walker", "fast", "proc", "native"):
+    for tier in ("fast", "proc", "native"):
         seconds, output = _time_tier(source, tier, jobs, repeats)
         if baseline_out is None:
             baseline_out = output
@@ -169,9 +166,6 @@ def run_workload(name, source, jobs, repeats):
     entry = {
         "output": baseline_out.strip(),
         "seconds": {t: round(s, 6) for t, s in timings.items()},
-        "speedup_vs_walker": {
-            t: round(timings["walker"] / s, 2) if s > 0 else 0.0
-            for t, s in timings.items()},
         "native_vs_fast": round(timings["fast"] / timings["native"], 2)
         if timings["native"] > 0 else 0.0,
     }

@@ -307,7 +307,7 @@ def run_source(text: str, inputs: list[str] | None = None,
                backend: str | Backend = "thread",
                config: RuntimeConfig | None = None,
                name: str = "<string>", entry: str = "main",
-               cache: bool = True, fast: bool = True,
+               cache: bool = True,
                io: CapturingIO | None = None,
                on_error: str = "raise",
                record_schedule: bool = False, replay: object = None,
@@ -316,10 +316,9 @@ def run_source(text: str, inputs: list[str] | None = None,
 
     ``backend`` is a name from :data:`BACKEND_FACTORIES` or a ready-made
     backend instance (e.g. a ``SimBackend(cores=8)`` whose trace you want).
-    ``cache=False`` bypasses the program cache; ``fast=False`` forces the
-    tree-walking interpreter instead of the precompiled closure fast path.
-    ``io`` brings the run's own console channel (the serve worker's
-    streaming one, the IDE pane); it then owns the input lines too.
+    ``cache=False`` bypasses the program cache.  ``io`` brings the run's
+    own console channel (the serve worker's streaming one, the IDE pane);
+    it then owns the input lines too.
 
     Run knobs are :class:`~repro.runtime.RuntimeConfig` fields: pass a
     whole ``config``, name fields as keywords (``detect_races=True``,
@@ -383,7 +382,7 @@ def run_source(text: str, inputs: list[str] | None = None,
     if io is None:
         io = CapturingIO(inputs or [])
     interp = Interpreter(program, source, backend=backend_obj, io=io,
-                         config=config, fast=fast)
+                         config=config)
     error = None
     try:
         interp.run(entry)

@@ -35,7 +35,7 @@ Lowering contract (see DESIGN §2c for the full write-up):
   a``) keeps the function on the fast path.
 * Arrays passed in are marshalled by copy (pointer + length); element
   stores are copied back only on success.  A kernel that errors mid-loop
-  does not write partial results back — a deviation from the walker
+  does not write partial results back — a deviation from the fast path
   observable only through ``try``-recovered state.
 * Runtime errors (division by zero, index out of range, sqrt domain) latch
   an error code + line in a shared ``tt_ctx`` struct; every loop back-edge
@@ -899,12 +899,12 @@ class _Emitter:
         self.depth += 1
         self.out(f"int64_t {it} = {lo_code};")
         self.out(f"int64_t {hi} = {hi_code};")
-        # The walker iterates over the *materialized* range, assigning
+        # The fast path iterates over the *materialized* range, assigning
         # the loop variable each pass — so a body that writes it (or a
         # same-named nested loop) must not perturb this loop's own
         # progress.  A hidden counter drives the loop; the visible
         # variable is a per-iteration copy, and after the loop it keeps
-        # the last item, exactly like the walker.  The counter stops *at*
+        # the last item, exactly like the fast path.  The counter stops *at*
         # the bound instead of stepping past it, so a range ending at
         # INT64_MAX terminates without overflow.
         self.out(f"for (int64_t {go} = {it} <= {hi}; {go}; "
@@ -958,7 +958,8 @@ class _Emitter:
 
 def _always_returns(block: Block) -> bool:
     """Conservative 'every path ends in return' check: a non-void native
-    function may not fall off its end (the walker would return nothing)."""
+    function may not fall off its end (the fast path would return
+    nothing)."""
     for s in reversed(block.statements):
         if isinstance(s, Pass):
             continue

@@ -271,7 +271,7 @@ class DebugSession:
         checker.check_expr(expr)
         if checker.errors:
             raise checker.errors[0]
-        value = self.interpreter.eval_expr(expr, ctx)
+        value = self.interpreter.compiled.compile(expr, ctx.env.private)(ctx)
         return display(value)
 
     # ------------------------------------------------------------------

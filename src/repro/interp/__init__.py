@@ -1,5 +1,5 @@
-"""Tree-walking interpreter for Tetra programs, plus its closure-compiled
-fast path (:mod:`repro.interp.compile`)."""
+"""The Tetra interpreter: programs run as the closure trees
+:mod:`repro.interp.compile` builds from their checked ASTs."""
 
 from .compile import CompiledProgram, compile_program
 from .context import CallRecord, ThreadContext

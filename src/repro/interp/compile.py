@@ -1,10 +1,10 @@
-"""AST→closure precompilation: the interpreter's fast path.
+"""AST→closure compilation: how the interpreter runs a program.
 
-The tree walker in :mod:`repro.interp.interpreter` pays a ``type(node)``
-dict dispatch and several attribute lookups for *every* node on *every*
-execution.  This module walks each type-checked function body **once** and
-emits a tree of Python closures — one per statement and expression — with
-everything that is knowable at compile time bound into the closure:
+The paper's interpreter runs a program by traversing its AST recursively.
+This module does that traversal **once** per program: it walks each
+type-checked function body and emits a tree of Python closures — one per
+statement and expression — with everything that is knowable at compile
+time bound into the closure:
 
 * **Operator specialization.**  ``a / b`` on two ``int`` operands becomes a
   closure that calls :func:`int_div` directly; on reals it calls
@@ -22,17 +22,22 @@ everything that is knowable at compile time bound into the closure:
   statement (``checkpoint``) nor account costs (``charge``) get a *lean*
   statement prologue: a stop-flag test and the span bookkeeping that keeps
   backtraces and error carets exact.  The coop scheduler and the
-  virtual-time simulator get the full prologue, with the same checkpoint
-  and charge sequence the walker performs — stepping, step budgets, and
-  simulated makespans are unchanged.
+  virtual-time simulator get the full prologue — stop flag, step budget,
+  guardrail, span, checkpoint, profile hit, statement charge — so
+  stepping, step budgets, and simulated makespans follow every statement.
+* **Race detection, compiled in.**  With ``detect_races`` on, every shared
+  access site — a name load or store, an array/dict element load or store,
+  a field load or store — compiles with a hook that feeds the
+  :class:`~repro.analysis.races.RaceDetector` (and the simulator's trace)
+  after the access's charge and type check and before the access itself,
+  and ``lock`` bodies report acquire/release inside the held lock.  With
+  detection off no closure carries a hook or a test for one.
 
-Observable semantics are identical to the walker on all four backends:
-spans ride along in every closure that can raise, so diagnostics render
-the same caret; per-statement checkpoints keep the debugger's independent
-stepping working.  Race detection is the one deliberate exception: when
-``detect_races`` is on the interpreter skips precompilation entirely and
-uses the instrumented walker (the fallback the tests pin down), so the
-detector sees every shared access exactly as before.
+Spans ride along in every closure that can raise, so diagnostics render
+the same caret on every backend; per-statement checkpoints keep the
+debugger's independent stepping working.  ``tests/test_exec_golden.py``
+pins what every bundled program does on the deterministic backends, with
+detection off and on.
 """
 
 from __future__ import annotations
@@ -85,6 +90,7 @@ from ..tetra_ast import (
     UnaryOp,
     Unpack,
     While,
+    unparse,
     walk,
 )
 from ..types import (
@@ -133,17 +139,45 @@ class CompiledProgram:
     return coercion — so call sites just evaluate arguments and jump.
     """
 
-    __slots__ = ("functions", "methods")
+    __slots__ = ("interp", "functions", "methods")
 
-    def __init__(self, functions: dict[str, Invoker],
+    def __init__(self, interp, functions: dict[str, Invoker],
                  methods: dict[tuple[str, str], Invoker]):
+        self.interp = interp
         self.functions = functions
         self.methods = methods
+
+    def compile(self, node: Block | Stmt | Expr, private=()):
+        """Compile a fragment that lives outside the program's functions —
+        REPL input, a debugger console expression, a proc worker's loop
+        body — against this program's invokers.
+
+        ``private`` names the bindings that may be thread-private where
+        the fragment runs; the fragment's own ``parallel for`` variables
+        are added.  Returns a block or statement closure (run for effect)
+        or an expression closure (returns the value), each taking a
+        :class:`ThreadContext`.
+        """
+        comp = _Compiler(self.interp)
+        comp._invokers = self.functions
+        comp._method_invokers = self.methods
+        comp._induction = frozenset(private) | parallel_for_vars(node)
+        if isinstance(node, Block):
+            return comp.block(node)
+        if isinstance(node, Stmt):
+            return comp.stmt(node)
+        return comp.expr(node)
 
 
 def compile_program(interp) -> CompiledProgram:
     """Precompile every function and method of ``interp.program``."""
     return _Compiler(interp).compile()
+
+
+def parallel_for_vars(node) -> frozenset[str]:
+    """The induction variables of every ``parallel for`` in ``node``: the
+    only names that can be thread-private inside it."""
+    return frozenset(n.var for n in walk(node) if isinstance(n, ParallelFor))
 
 
 def _missing(node, what: str) -> TetraInternalError:
@@ -220,6 +254,9 @@ class _Compiler:
         guard = interp._guard
         self._guard_check = guard.check if guard is not None else None
         self._heap = interp._heap
+        #: The race detector, or None; only a detector makes shared-access
+        #: sites compile with hooks.
+        self.race = interp._race
         self.lean = not (self.acc or self.limit or self.need_checkpoint
                          or self._line_hit is not None
                          or self._guard_check is not None)
@@ -266,12 +303,10 @@ class _Compiler:
                     self._invokers[fn.name] = replacement
         # Phase 2: compile the bodies.
         for fn, cell in pending:
-            self._induction = frozenset(
-                node.var for node in walk(fn.body)
-                if isinstance(node, ParallelFor)
-            )
+            self._induction = parallel_for_vars(fn.body)
             cell[0] = self.block(fn.body)
-        return CompiledProgram(self._invokers, self._method_invokers)
+        return CompiledProgram(self.interp, self._invokers,
+                               self._method_invokers)
 
     def _make_invoker(self, sig, cell: list) -> Invoker:
         interp = self.interp
@@ -378,7 +413,8 @@ class _Compiler:
         return self._wrap(s, builder(self, s))
 
     def _wrap(self, s: Stmt, core: StmtRun) -> StmtRun:
-        """Attach the per-statement prologue exec_stmt() performs."""
+        """Attach the per-statement prologue: stop flag, step budget,
+        guardrail, current span, checkpoint, profile hit and charge."""
         interp = self.interp
         span = s.span
         if self.lean:
@@ -824,6 +860,8 @@ class _Compiler:
         lock = self.backend.lock
         name = s.name
         span = s.span
+        if self.race is not None:
+            return self._race_lock(name, body, span)
 
         def run(ctx):
             lock(ctx, name, lambda: body(ctx), span)
@@ -843,6 +881,8 @@ class _Compiler:
             if ty is None:
                 raise _missing(target, f"assignment target '{name}'")
             widen = ty if isinstance(ty, (RealType, TupleType)) else None
+            if self.race is not None:
+                return self._race_store_name(target, widen)
             units = self.cost.name_store
             if name in self._induction:
                 def store(ctx, value):
@@ -866,6 +906,8 @@ class _Compiler:
             return store
 
         if isinstance(target, Attribute):
+            if self.race is not None:
+                return self._race_store_attribute(target)
             base_fn = self.expr(target.base)
             attr = target.attr
             span = target.span
@@ -885,6 +927,8 @@ class _Compiler:
             return store_attr
 
         if isinstance(target, Index):
+            if self.race is not None:
+                return self._race_store_index(target)
             base_fn = self.expr(target.base)
             index_fn = self.expr(target.index)
             span = target.span
@@ -939,6 +983,8 @@ class _Compiler:
         return run
 
     def _expr_name(self, e: Name) -> ExprRun:
+        if self.race is not None:
+            return self._race_name(e)
         name = e.id
         if name in self._induction:
             if not self.acc:
@@ -1047,9 +1093,7 @@ class _Compiler:
     def _expr_dict_literal(self, e: DictLiteral) -> ExprRun:
         ty = e.ty
         if not isinstance(ty, DictType):
-            raise TetraInternalError(
-                "dict literal was not typed by the checker", e.span
-            )
+            raise _missing(e, "a dict literal")
         entry_fns = tuple(
             (self.expr(k), self.expr(v)) for k, v in e.entries
         )
@@ -1085,6 +1129,9 @@ class _Compiler:
         return self._with_heap(run, e.span)
 
     def _expr_index(self, e: Index) -> ExprRun:
+        if self.race is not None and isinstance(e.base.ty,
+                                                (ArrayType, DictType)):
+            return self._race_index(e)
         interp = self.interp
         base_fn = self.expr(e.base)
         index_fn = self.expr(e.index)
@@ -1131,6 +1178,8 @@ class _Compiler:
         raise _missing(e.base, "an indexed expression")
 
     def _expr_attribute(self, e: Attribute) -> ExprRun:
+        if self.race is not None:
+            return self._race_attribute(e)
         interp = self.interp
         base_fn = self.expr(e.base)
         attr = e.attr
@@ -1241,8 +1290,7 @@ class _Compiler:
     def _constructor(self, e: Call, info, arg_fns) -> ExprRun:
         class_name = info.name
         field_names = info.field_names
-        # The type/order tables are immutable; every instance can share them
-        # (the walker rebuilds both on each construction).
+        # The type/order tables are immutable; every instance shares them.
         field_types = dict(zip(info.field_names, info.field_types))
         field_order = list(info.field_names)
         widen = tuple(
@@ -1307,10 +1355,12 @@ class _Compiler:
         ``(None, closure)`` when it must stay a compiled sub-expression.
         Inlined operands cost zero Python frames at runtime (cost
         accounting needs the per-node closures, so only lean/thread
-        backends inline)."""
+        backends inline; race detection needs every shared read to go
+        through its hook, so names stay closures under it)."""
         if isinstance(e, _LITERAL_NODES):
             return "const", e.value
-        if type(e) is Name and e.id not in self._induction:
+        if (type(e) is Name and self.race is None
+                and e.id not in self._induction):
             return "name", e.id
         return None, self.expr(e)
 
@@ -1389,9 +1439,9 @@ class _Compiler:
 
         ``n - 1`` compiles to a single closure that reads the frame dict and
         subtracts — no operand frames at all.  Frame-dict KeyErrors map onto
-        the unbound-variable internal error with the walker's wording;
-        evaluation stays left-to-right so a program with *two* unbound
-        operands reports the same one the walker would.
+        the unbound-variable internal error with :meth:`Environment.get`'s
+        wording; evaluation stays left-to-right so a program with *two*
+        unbound operands reports the left one.
         """
         op = e.op
         opfunc = _OPERATOR_FUNCS.get(op)
@@ -1495,6 +1545,182 @@ class _Compiler:
         raise TetraInternalError(
             f"unhandled operator {op}"
         )  # pragma: no cover
+
+    # ------------------------------------------------------------------
+    # Race detection (compiled only when detect_races is on)
+    # ------------------------------------------------------------------
+    # Each hook runs where the access happens: after the site's charge and
+    # type check, before the read or write itself.  Tuple and string
+    # elements are immutable, so their index loads compile as usual.
+
+    def _race_note(self, is_write: bool):
+        """``note(ctx, key, display, span, pin)``: feed one shared access to
+        the detector, and to the backend's trace (the simulator keeps it
+        so a saved trace can be replayed through the detector)."""
+        record = self.race.write if is_write else self.race.read
+        trace = self.backend.record_access
+
+        def note(ctx, key, display, span, pin):
+            record(ctx.id, key, display, span, pin)
+            trace(ctx, display, is_write, span)
+
+        return note
+
+    def _race_name(self, e: Name) -> ExprRun:
+        name = e.id
+        span = e.span
+        note = self._race_note(False)
+        acc = self.acc
+        charge = self.backend.charge
+        units = self.cost.name_load
+
+        def run(ctx):
+            if acc:
+                charge(ctx, units)
+            env = ctx.env
+            if env.is_shared(name):
+                note(ctx, (id(env.frame), name), name, span, env.frame)
+            return env.get(name)
+
+        return run
+
+    def _race_store_name(self, target: Name, widen):
+        name = target.id
+        span = target.span
+        note = self._race_note(True)
+        acc = self.acc
+        charge = self.backend.charge
+        units = self.cost.name_store
+
+        def store(ctx, value):
+            if acc:
+                charge(ctx, units)
+            env = ctx.env
+            if env.is_shared(name):
+                note(ctx, (id(env.frame), name), name, span, env.frame)
+            env.set(name, coerce_to(value, widen) if widen else value)
+
+        return store
+
+    def _race_index(self, e: Index) -> ExprRun:
+        base_fn = self.expr(e.base)
+        index_fn = self.expr(e.index)
+        span = e.span
+        prefix = unparse(e.base)
+        note = self._race_note(False)
+        acc = self.acc
+        charge = self.backend.charge
+        units = self.cost.index_load
+
+        def run(ctx):
+            base = base_fn(ctx)
+            index = index_fn(ctx)
+            if acc:
+                charge(ctx, units)
+            if isinstance(base, (TetraArray, TetraDict)):
+                note(ctx, (id(base), index), f"{prefix}[{index!r}]", span,
+                     base)
+            return base.get(index, span)
+
+        return run
+
+    def _race_store_index(self, target: Index):
+        err = self.interp._err
+        base_fn = self.expr(target.base)
+        index_fn = self.expr(target.index)
+        span = target.span
+        prefix = unparse(target.base)
+        note = self._race_note(True)
+        acc = self.acc
+        charge = self.backend.charge
+        units = self.cost.index_store
+
+        def store(ctx, value):
+            base = base_fn(ctx)
+            index = index_fn(ctx)
+            if acc:
+                charge(ctx, units)
+            if isinstance(base, (TetraArray, TetraDict)):
+                note(ctx, (id(base), index), f"{prefix}[{index!r}]", span,
+                     base)
+            if isinstance(base, TetraDict):
+                base.set(index, coerce_to(value, base.value_type))
+                return
+            if not isinstance(base, TetraArray):
+                raise err(
+                    TetraRuntimeError,
+                    "only array and dict elements can be assigned "
+                    "through an index (strings are immutable)",
+                    span,
+                )
+            base.set(index, coerce_to(value, base.element_type), span)
+
+        return store
+
+    def _race_attribute(self, e: Attribute) -> ExprRun:
+        err = self.interp._err
+        base_fn = self.expr(e.base)
+        attr = e.attr
+        span = e.span
+        note = self._race_note(False)
+        acc = self.acc
+        charge = self.backend.charge
+        units = self.cost.index_load
+
+        def run(ctx):
+            base = base_fn(ctx)
+            if acc:
+                charge(ctx, units)
+            if not isinstance(base, TetraObject):
+                raise err(TetraRuntimeError,
+                          "only class instances have fields", span)
+            note(ctx, (id(base), attr), f"{base.class_name}.{attr}", span,
+                 base)
+            return base.get(attr, span)
+
+        return run
+
+    def _race_store_attribute(self, target: Attribute):
+        err = self.interp._err
+        base_fn = self.expr(target.base)
+        attr = target.attr
+        span = target.span
+        note = self._race_note(True)
+        acc = self.acc
+        charge = self.backend.charge
+        units = self.cost.index_store
+
+        def store(ctx, value):
+            base = base_fn(ctx)
+            if acc:
+                charge(ctx, units)
+            if not isinstance(base, TetraObject):
+                raise err(TetraRuntimeError,
+                          "only class instances have fields", span)
+            note(ctx, (id(base), attr), f"{base.class_name}.{attr}", span,
+                 base)
+            base.set(attr, value, span)
+
+        return store
+
+    def _race_lock(self, name: str, body: StmtRun, span) -> StmtRun:
+        lock = self.backend.lock
+        acquire = self.race.acquire
+        release = self.race.release
+
+        def run(ctx):
+            def held():
+                # The detector's lockset tracks the dynamic extent of the
+                # body, which the backend runs strictly inside the lock.
+                acquire(ctx.id, name)
+                try:
+                    body(ctx)
+                finally:
+                    release(ctx.id, name)
+
+            lock(ctx, name, held, span)
+
+        return run
 
 
 _STMT_BUILDERS = {

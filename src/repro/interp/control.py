@@ -1,9 +1,9 @@
 """Non-local control flow signals used inside the interpreter.
 
 ``return`` / ``break`` / ``continue`` are implemented as exceptions that
-unwind the recursive AST walk — the standard technique for tree-walking
-interpreters (and what the paper's C++ interpreter does with its recursive
-``interpret`` calls).  They are internal: the type checker guarantees they
+unwind the nested statement closures — the standard technique for
+tree-walking interpreters (and what the paper's C++ interpreter does with
+its recursive ``interpret`` calls).  They are internal: the type checker guarantees they
 can never escape a function body or loop, and they deliberately do *not*
 derive from :class:`~repro.errors.TetraError` so error handling cannot
 swallow them by accident.

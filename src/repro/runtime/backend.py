@@ -221,8 +221,8 @@ class Backend:
     obs = None
     #: Optional hook: ``try_parallel_for(interp, stmt, items, ctx) -> bool``.
     #: A backend that can execute an entire ``parallel for`` itself (the
-    #: proc backend's multiprocess offload) sets this; both the tree walker
-    #: and the compiled fast path consult it before spawning threads.  A
+    #: proc backend's multiprocess offload) sets this; the compiled
+    #: ``parallel for`` consults it before spawning threads.  A
     #: False return means "run the loop the normal in-process way".
     try_parallel_for = None
     #: The run's :class:`~repro.compiler.native.NativeState`, installed by

@@ -10,7 +10,7 @@ persistent pool of **worker processes**:
   from its source text* through :func:`repro.api.cached_program` — the
   sha-keyed cache makes that a one-time cost per worker (free under fork,
   which inherits the parent's warm cache), after which each worker holds
-  its own compiled fast-path closure for the loop body.
+  its own compiled closure for the loop body.
 * Loop chunks ship as ``(items, frozen read-set)`` messages: a snapshot of
   the variables the body references.  Writes merge back under the
   language's rules — the induction variable is private and discarded,
@@ -118,9 +118,9 @@ def _find_parfor(program, key: tuple):
 
 
 def _compile_body(interp, key: tuple):
-    """Compile the loop body once per worker: a fresh fast-path closure
-    whose induction set matches the enclosing function's."""
-    from ..tetra_ast import ParallelFor, walk
+    """Compile the loop body once per worker, against the worker's compiled
+    program, with the enclosing function's induction variables private."""
+    from ..interp.compile import parallel_for_vars
 
     fn, node = _find_parfor(interp.program, key)
     if node is None:
@@ -128,18 +128,7 @@ def _compile_body(interp, key: tuple):
             f"proc worker cannot locate the parallel for at line "
             f"{key[0]} in its recompiled program"
         )
-    if interp._compiled is not None:
-        from ..interp.compile import _Compiler
-
-        comp = _Compiler(interp)
-        comp.compile()  # populate call-site invokers
-        comp._induction = frozenset(
-            n.var for n in walk(fn.body) if isinstance(n, ParallelFor)
-        )
-        body_run = comp.block(node.body)
-    else:
-        def body_run(ctx, _body=node.body):
-            interp.exec_block(_body, ctx)
+    body_run = interp.compiled.compile(node.body, parallel_for_vars(fn.body))
     return body_run, node.var, fn.name
 
 
@@ -171,7 +160,7 @@ def _run_chunk(interp, bodies: dict, key: tuple, chunk: list, private: dict,
 
 
 def _worker_main(worker_index: int, task_q, result_q, source_text: str,
-                 prog_name: str, fast: bool, recursion_limit: int) -> None:
+                 prog_name: str, recursion_limit: int) -> None:
     """One pool worker: bootstrap via the program cache, then serve chunks
     until the sentinel (or a kill) arrives."""
     try:
@@ -204,7 +193,7 @@ def _worker_main(worker_index: int, task_q, result_q, source_text: str,
         io = CapturingIO()
         interp = Interpreter(program, source,
                              backend=SequentialBackend(config), io=io,
-                             config=config, fast=fast)
+                             config=config)
         bodies: dict = {}
     except BaseException:  # noqa: BLE001 - reported to the parent
         result_q.put(("boot", worker_index, traceback.format_exc()))
@@ -250,7 +239,7 @@ class _WorkerPool:
     """A persistent set of worker processes plus their task/result queues."""
 
     def __init__(self, jobs: int, source_text: str, prog_name: str,
-                 fast: bool, recursion_limit: int):
+                 recursion_limit: int):
         method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
         ctx = mp.get_context(method)
         self.task_q = ctx.Queue()
@@ -268,7 +257,7 @@ class _WorkerPool:
                 p = ctx.Process(
                     target=_worker_main,
                     args=(w, self.task_q, self.result_q, source_text,
-                          prog_name, fast, recursion_limit),
+                          prog_name, recursion_limit),
                     name=f"tetra-proc-{w + 1}",
                     daemon=True,
                 )
@@ -461,7 +450,6 @@ class ProcBackend(ThreadBackend):
             size,
             interp.source.text,
             getattr(interp.source, "name", "<proc>"),
-            interp.fast,
             self.config.recursion_limit,
         )
         self.pool = pool
@@ -513,7 +501,7 @@ class ProcBackend(ThreadBackend):
         results, failures = self._collect(pool, len(tasks), span)
         # Console output in chunk order: for block/dynamic chunking that
         # is iteration order, so a deterministic program prints exactly
-        # what the sequential walker prints.
+        # what the sequential backend prints.
         io = interp.io
         for tid in range(len(chunks)):
             if tid in results:

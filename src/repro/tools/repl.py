@@ -170,7 +170,7 @@ class ReplSession:
     def eval_expression(self, expr) -> str | None:
         """Check and evaluate a parsed expression; display form or None."""
         ty = self._check(lambda: self._stmt_checker.check_expr(expr))
-        value = self.interpreter.eval_expr(expr, self.ctx)
+        value = self.interpreter.compiled.compile(expr)(self.ctx)
         if ty == VOID:
             return None
         return display(value)
@@ -194,9 +194,10 @@ class ReplSession:
                 self._stmt_checker.check_stmt(stmt)
 
         self._check(check_all, source)
+        compiled = self.interpreter.compiled
         for stmt in statements:
             try:
-                self.interpreter.exec_stmt(stmt, self.ctx)
+                compiled.compile(stmt)(self.ctx)
             except ReturnSignal:
                 raise TetraError("'return' outside a function") from None
             except (BreakSignal, ContinueSignal):

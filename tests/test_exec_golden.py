@@ -15,8 +15,8 @@ on, at ``num_workers=4``.  A record keeps
   lock grants, parallel-for worker counts).
 
 The fixture was recorded from the tree-walking interpreter, before the
-closure compiler became the only executor.  Regenerate it only for a
-deliberate change to what a program does::
+closure compiler became the only executor and took over race detection.
+Regenerate it only for a deliberate change to what a program does::
 
     PYTHONPATH=src python tests/test_exec_golden.py --write
 """
@@ -80,15 +80,13 @@ def _makespan(sim: SimBackend, cores: int):
         return exc.message
 
 
-def record(text: str, inputs: list[str], backend: str, races: bool,
-           **run_kw) -> dict:
+def record(text: str, inputs: list[str], backend: str, races: bool) -> dict:
     """One run in fixture form."""
     target = SimBackend(cores=4) if backend == "sim" else backend
     recording = backend == "coop" and races
     result = run_source(text, list(inputs), backend=target, name="<golden>",
                         num_workers=4, detect_races=races,
-                        record_schedule=recording, on_error="return",
-                        **run_kw)
+                        record_schedule=recording, on_error="return")
     row = {
         "output": result.output,
         "aborted_by": result.aborted_by,
@@ -140,12 +138,12 @@ def test_fixture_covers_every_run():
     assert sorted(_load()) == sorted(_key(*case) for case in _cases())
 
 
-def _write(**run_kw) -> None:
+def _write() -> None:
     golden = {}
     for name, backend, races in _cases():
         text, inputs = programs()[name]
         golden[_key(name, backend, races)] = record(text, inputs, backend,
-                                                    races, **run_kw)
+                                                    races)
     FIXTURE.parent.mkdir(exist_ok=True)
     with open(FIXTURE, "w", encoding="utf-8") as handle:
         # One run per line keeps diffs of the fixture reviewable.
@@ -159,6 +157,4 @@ def _write(**run_kw) -> None:
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         raise SystemExit("usage: test_exec_golden.py --write")
-    # Recorded from the tree walker: the reference executor this fixture
-    # holds the closure compiler to.
-    _write(fast=False)
+    _write()

@@ -1,10 +1,11 @@
-"""Fast-path and program-cache tests.
+"""Closure-compiler and program-cache tests.
 
-Covers the AST→closure precompilation layer (``repro.interp.compile``):
-semantic parity with the tree walker on every backend, the race-detector
-fallback, span-exact diagnostics, the strict annotation contract — and the
-:mod:`repro.api` program cache: hit/miss accounting, the ``cache=False``
-escape hatch, and ``tetra run --no-cache``.
+Covers the AST→closure compilation layer (``repro.interp.compile``):
+limits and diagnostics, race detection compiled into the closures, the
+strict annotation contract — and the :mod:`repro.api` program cache:
+hit/miss accounting, the ``cache=False`` escape hatch, and
+``tetra run --no-cache``.  What every bundled program does on each
+backend is pinned by ``tests/test_exec_golden.py``.
 """
 
 import textwrap
@@ -22,7 +23,7 @@ from repro.errors import TetraError, TetraInternalError, TetraLimitError
 from repro.interp import Interpreter
 from repro.runtime import RuntimeConfig, SequentialBackend
 from repro.stdlib.io import CapturingIO
-from repro.tetra_ast import ArrayLiteral, Assign, Name, walk
+from repro.tetra_ast import ArrayLiteral, Assign, DictLiteral, Name, walk
 from repro.tools.cli import main as cli_main
 
 HELLO = 'def main():\n    print("hello")\n'
@@ -47,44 +48,41 @@ MIXED_MODES = textwrap.dedent("""
         print(s, triangle(10))
 """)
 
-#: Exercises recursion, loops, arrays, dicts, tuples, strings, classes,
-#: parallel for + locks — one program touching most compiled node kinds.
-KITCHEN_SINK = textwrap.dedent("""
-    class Point:
-        x int
-        y int
-
-        def total() int:
-            return self.x + self.y
-
-    def fib(n int) int:
-        if n < 2:
-            return n
-        return fib(n - 1) + fib(n - 2)
+#: One shared-access site of every kind the race detector hooks — name,
+#: array element (plain and augmented), dict element, field — each written
+#: by one thread of a ``parallel`` block and read by its sibling, plus a
+#: lock-protected pair and immutable string/tuple reads that must stay
+#: quiet.
+EVERY_ACCESS_KIND = textwrap.dedent("""
+    class Box:
+        v int
 
     def main():
-        print(fib(12))
-        s = 0
-        for i in [1 ... 20]:
-            s += i * i
-        print(s)
-        a = [5, 2, 9]
-        a[1] = a[0] + a[2]
-        print(a, len(a))
-        d = {"one": 1, "two": 2}
-        print(d["two"], d)
-        t = (3, 4.5)
-        u, v = t
-        print(u + v)
-        p = Point(2, 3)
-        print(p.total(), p.x)
-        word = "tetra"
-        print(word[1], word + "!")
-        total = 0
-        parallel for i in [1 ... 16]:
-            lock total:
-                total += i
-        print(total)
+        xs = [0, 0]
+        d = {"k": 0}
+        b = Box(0)
+        n = 0
+        s = "ab"
+        t = (1, 2)
+        parallel:
+            n = 1
+            print(n + 1)
+        parallel:
+            xs[0] = 1
+            xs[0] += 1
+            print(xs[0] + 1, s[1], t[0])
+        parallel:
+            d["k"] = 1
+            print(d["k"])
+        parallel:
+            b.v = 1
+            print(b.v)
+        parallel:
+            lock m:
+                n += 1
+            lock m:
+                n += 2
+        print(n, xs, d, b)
 """)
 
 RACY = textwrap.dedent("""
@@ -257,37 +255,11 @@ class TestCLINoCache:
 # Fast path semantics
 # ----------------------------------------------------------------------
 class TestFastPathParity:
-    def test_identical_output_on_every_backend(self, any_backend):
-        fast = run_source(KITCHEN_SINK, backend=any_backend).output
-        walker = run_source(KITCHEN_SINK, backend=any_backend,
-                            fast=False, cache=False).output
-        assert fast == walker
-
     def test_interpreter_compiles_by_default(self):
         program, source = compile_source(HELLO)
         interp = Interpreter(program, source, backend=SequentialBackend(),
                              io=CapturingIO())
-        assert interp.fast is True
-
-    def test_fast_false_uses_the_walker(self):
-        program, source = compile_source(HELLO)
-        interp = Interpreter(program, source, backend=SequentialBackend(),
-                             io=CapturingIO(), fast=False)
-        assert interp.fast is False
-
-    def test_error_spans_survive_precompilation(self):
-        crashing = textwrap.dedent("""
-            def main():
-                a = [1, 2, 3]
-                print(a[7])
-        """)
-        with pytest.raises(TetraError) as fast_exc:
-            run_source(crashing, backend="sequential")
-        with pytest.raises(TetraError) as walker_exc:
-            run_source(crashing, backend="sequential",
-                       fast=False, cache=False)
-        assert fast_exc.value.span == walker_exc.value.span
-        assert str(fast_exc.value) == str(walker_exc.value)
+        assert set(interp.compiled.functions) == {"main"}
 
     def test_recursion_limit_message_is_the_walkers(self):
         runaway = "def f() int:\n    return f()\n\ndef main():\n    f()\n"
@@ -301,22 +273,72 @@ class TestFastPathParity:
             run_source(spin, backend="sequential", config=config)
 
 
-class TestRaceDetectorFallback:
-    def test_detect_races_disables_the_fast_path(self):
-        program, source = compile_source(RACY)
+class TestCompiledRaceDetection:
+    def _closure(self, program, source, node, detect: bool):
         interp = Interpreter(program, source, backend=SequentialBackend(),
                              io=CapturingIO(),
-                             config=RuntimeConfig(detect_races=True))
-        assert interp.fast is False
+                             config=RuntimeConfig(num_workers=4,
+                                                  detect_races=detect))
+        return interp, interp.compiled.compile(node)
 
-    def test_same_races_reported(self):
-        config = RuntimeConfig(num_workers=4, detect_races=True)
-        through_default = run_source(RACY, backend="thread", config=config)
-        through_walker = run_source(RACY, backend="thread", config=config,
-                                    fast=False, cache=False)
-        assert through_default.races and through_walker.races
-        assert (through_default.races[0].variable
-                == through_walker.races[0].variable == "largest")
+    def test_detection_runs_on_the_compiled_closures(self):
+        """Shared accesses compile with hooks only under detection; the
+        hooked closures are what report the race."""
+        program, source = compile_source(RACY)
+        largest = next(n for n in walk(program.functions[0].body)
+                       if isinstance(n, Name) and n.id == "largest")
+        interp, hooked = self._closure(program, source, largest, True)
+        assert "_race_name" in hooked.__qualname__
+        _, plain = self._closure(program, source, largest, False)
+        assert "_race" not in plain.__qualname__
+        interp.run()
+        assert {r.variable for r in interp.races} == {"largest"}
+
+    def test_every_access_kind_reports_its_sites(self, any_backend):
+        """Variable display, access kinds and both sites' line:column, in
+        order — as the tree walker reported them for the same program."""
+        t = "parallel thread {} (line {})"
+        want = [
+            ("n", t.format(1, 13), "write", 13, 9, t.format(2, 14), "read",
+             14, 15),
+            ("xs[0]", t.format(1, 16), "write", 16, 9, t.format(2, 17),
+             "read", 17, 9),
+            ("xs[0]", t.format(1, 16), "write", 16, 9, t.format(2, 17),
+             "write", 17, 9),
+            ("xs[0]", t.format(1, 16), "write", 16, 9, t.format(3, 18),
+             "read", 18, 15),
+            ("xs[0]", t.format(2, 17), "write", 17, 9, t.format(3, 18),
+             "read", 18, 15),
+            ("d['k']", t.format(1, 20), "write", 20, 9, t.format(2, 21),
+             "read", 21, 15),
+            ("Box.v", t.format(1, 23), "write", 23, 9, t.format(2, 24),
+             "read", 24, 15),
+        ]
+        result = run_source(EVERY_ACCESS_KIND, backend=any_backend,
+                            detect_races=True)
+        assert [
+            (r.variable,
+             r.first.thread, r.first.kind, r.first.span.line,
+             r.first.span.column,
+             r.second.thread, r.second.kind, r.second.span.line,
+             r.second.span.column)
+            for r in result.races
+        ] == want
+
+    @pytest.mark.parametrize("backend", ["sequential", "coop", "sim"])
+    def test_reports_equal_the_golden_fixture(self, backend):
+        """Race reports, both sites' line:column in order, match what the
+        tree walker recorded before the closure compiler took over."""
+        from test_exec_golden import _key, _load, programs, record
+
+        for name in ("examples/tetra/race_demo.ttr",
+                     "examples/tetra/figure3_parallel_max.ttr",
+                     "examples/tetra/tsp_7.ttr",
+                     "examples/tetra/bank_account.ttr"):
+            text, inputs = programs()[name]
+            want = _load()[_key(name, backend, True)]["races"]
+            assert record(text, inputs, backend, True)["races"] == want
+            assert want or name.endswith("bank_account.ttr")
 
     def test_lock_protected_program_stays_clean(self):
         clean = textwrap.dedent("""
@@ -350,38 +372,26 @@ class TestRunResultRepr:
 # ----------------------------------------------------------------------
 class TestStrictAnnotations:
     def _program_with_stripped(self, node_type):
-        text = "def main():\n    xs = [1, 2]\n    print(xs)\n"
+        """A checked program with the checker's type taken off every
+        ``node_type`` node (off the target, for an assignment)."""
+        text = ('def main():\n    xs = [1, 2]\n    d = {"a": 1}\n'
+                '    print(xs, d)\n')
         program, source = compile_source(text)
         for node in walk(program.functions[0].body):
             if isinstance(node, node_type):
-                node.ty = None
+                (node.target if isinstance(node, Assign) else node).ty = None
         return program, source
 
-    def test_compile_rejects_untyped_literal(self):
-        program, source = self._program_with_stripped(ArrayLiteral)
+    @pytest.mark.parametrize("node_type", [ArrayLiteral, DictLiteral,
+                                           Assign])
+    def test_compile_rejects_untyped_literal(self, node_type):
+        """Every annotation the compiler depends on fails at compile time
+        with the shared "was this program type-checked?" hint."""
+        program, source = self._program_with_stripped(node_type)
         with pytest.raises(TetraInternalError,
                            match="was this program type-checked"):
             Interpreter(program, source, backend=SequentialBackend(),
                         io=CapturingIO())
-
-    def test_walker_rejects_untyped_literal(self):
-        program, source = self._program_with_stripped(ArrayLiteral)
-        interp = Interpreter(program, source, backend=SequentialBackend(),
-                             io=CapturingIO(), fast=False)
-        with pytest.raises(TetraInternalError):
-            interp.run()
-
-    def test_walker_rejects_untyped_assignment_target(self):
-        text = "def main():\n    x = 1\n    print(x)\n"
-        program, source = compile_source(text)
-        for node in walk(program.functions[0].body):
-            if isinstance(node, Assign) and isinstance(node.target, Name):
-                node.target.ty = None
-        interp = Interpreter(program, source, backend=SequentialBackend(),
-                             io=CapturingIO(), fast=False)
-        with pytest.raises(TetraInternalError,
-                           match="not annotated by the checker"):
-            interp.run()
 
 
 # ----------------------------------------------------------------------

@@ -131,16 +131,6 @@ class TestDifferentialFuzz:
         assert interpreted == compiled, text
 
     @given(programs())
-    @settings(max_examples=80, deadline=None)
-    def test_fast_path_matches_tree_walker(self, text):
-        """The closure fast path (the default pipeline, warm program
-        cache) is byte-identical to the seed tree walker."""
-        fast = run_source(text, backend="sequential").output
-        walker = run_source(text, backend="sequential",
-                            fast=False, cache=False).output
-        assert fast == walker, text
-
-    @given(programs())
     @settings(max_examples=40, deadline=None)
     def test_backends_agree_on_deterministic_programs(self, text):
         outputs = {
@@ -181,7 +171,7 @@ class TestDifferentialFuzz:
     def test_proc_offload_matches_sequential_on_reductions(self, case):
         """Lock-protected `total += expr` is exactly what the proc backend
         offloads and merges arithmetically; outputs and exit codes must
-        match the sequential walker.  (Programs whose loops use other
+        match the sequential backend.  (Programs whose loops use other
         shared mutation legitimately fall back to threads — the offload
         gate itself is covered in test_proc.py.)"""
         text, workers = case
@@ -208,7 +198,7 @@ class TestDifferentialFuzz:
 
 
 # ----------------------------------------------------------------------
-# Native-tier fuzzing: the C lowering vs. the tree walker
+# Native-tier fuzzing: the C lowering vs. the closure fast path
 # ----------------------------------------------------------------------
 @st.composite
 def native_statements(draw, depth=0):
@@ -284,9 +274,9 @@ class TestNativeFuzz:
     @example(INT64_OVERFLOW_KERNEL)
     @settings(max_examples=60, deadline=None)
     def test_native_functions_match_tree_walker(self, text):
-        walker = run_source(text, native="off").output
+        fast = run_source(text, native="off").output
         compiled = run_source(text, native="require").output
-        assert walker == compiled, text
+        assert fast == compiled, text
 
     @given(parallel_reduction_programs())
     @settings(max_examples=15, deadline=None)
@@ -295,6 +285,6 @@ class TestNativeFuzz:
         from repro.runtime import RuntimeConfig
 
         config = RuntimeConfig(num_workers=min(workers, 4))
-        walker = run_source(text, config=config, native="off").output
+        fast = run_source(text, config=config, native="off").output
         compiled = run_source(text, config=config, native="require").output
-        assert walker == compiled, text
+        assert fast == compiled, text

@@ -5,7 +5,7 @@ Four groups:
 * toolchain-free tests (eligibility decisions, mode gating, the
   shared cached tree, graceful degradation without a C compiler) — these
   run everywhere, including CI boxes with no ``cc``;
-* differential tests (walker vs. native on the same program, including
+* differential tests (fast path vs. native on the same program, including
   error messages, reductions under every chunking policy, and the
   observability surface) — skipped when no compiler is present;
 * recursion, local arrays and the deopt protocol: the recursion limit,
@@ -63,7 +63,7 @@ def run(text, native_mode="require", **kwargs):
 
 
 def differential(text, num_workers=None, chunking=None, **kwargs):
-    """Run dedented source on the walker and the native tier; both must
+    """Run dedented source on the fast path and the native tier; both must
     agree on output (or raise the same rendered error)."""
     text = textwrap.dedent(text)
     if num_workers is not None or chunking is not None:
@@ -76,12 +76,12 @@ def differential(text, num_workers=None, chunking=None, **kwargs):
         except Exception as exc:  # noqa: BLE001 — compared, not hidden
             return ("err", f"{type(exc).__name__}: {exc}")
 
-    walker = one("off")
+    fast = one("off")
     compiled = one("require")
-    assert walker == compiled, (
-        f"walker and native tier disagree:\n  walker: {walker}"
+    assert fast == compiled, (
+        f"fast path and native tier disagree:\n  fast: {fast}"
         f"\n  native: {compiled}")
-    return walker
+    return fast
 
 
 # ----------------------------------------------------------------------
@@ -314,7 +314,7 @@ class TestEligibility:
 
 
 # ----------------------------------------------------------------------
-# Differential: walker vs. native on real programs
+# Differential: fast path vs. native on real programs
 # ----------------------------------------------------------------------
 @needs_cc
 class TestDifferential:

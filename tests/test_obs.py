@@ -259,12 +259,9 @@ class TestBackendClock:
         backend.recorder.charge(50)
         assert backend.now() - t0 == 50.0
 
-    @pytest.mark.parametrize("fast", [True, False])
-    def test_sim_clock_deltas_are_deterministic_units(self, fast):
-        first = run_source(CLOCK_PROGRAM, backend="sim", cache=False,
-                           fast=fast).output
-        second = run_source(CLOCK_PROGRAM, backend="sim", cache=False,
-                            fast=fast).output
+    def test_sim_clock_deltas_are_deterministic_units(self):
+        first = run_source(CLOCK_PROGRAM, backend="sim", cache=False).output
+        second = run_source(CLOCK_PROGRAM, backend="sim", cache=False).output
         assert first == second, "virtual deltas never vary run to run"
         d1, d2, d3 = (float(line) for line in first.splitlines())
         assert d1 > 0 and d1 == int(d1), "deltas are whole cost units"
@@ -519,4 +516,4 @@ class TestDisabledOverhead:
                              backend=SequentialBackend(),
                              io=CapturingIO([]))
         assert interp._obs is None
-        assert interp._compiled is not None
+        assert interp.compiled is not None

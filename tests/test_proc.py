@@ -5,11 +5,11 @@ processes and merges results back under Tetra's variable rules.  These
 tests pin down the whole contract: which loops offload (the paper's
 reduction idioms, disjoint container edits) and which fall back to threads
 with a recorded reason; that merged results are byte-identical to the
-sequential walker across all three chunking policies and both execution
-paths; that conflicting or overlapping cross-process writes raise the
-teaching diagnostic instead of racing; and that worker failures, time
-limits, and cancellation terminate the pool promptly with the same errors
-the in-process backends raise.
+sequential backend across all three chunking policies; that conflicting
+or overlapping cross-process writes raise the teaching diagnostic instead
+of racing; and that worker failures, time limits, and cancellation
+terminate the pool promptly with the same errors the in-process backends
+raise.
 """
 
 import os
@@ -122,11 +122,9 @@ class TestOffloadCorrectness:
         assert proc.backend.fallbacks == []
 
     @pytest.mark.parametrize("chunking", ["block", "cyclic", "dynamic"])
-    @pytest.mark.parametrize("fast", [True, False])
-    def test_all_chunkings_and_paths_agree(self, chunking, fast):
+    def test_all_chunkings_agree(self, chunking):
         seq = run_source(PRIMES, backend="sequential")
-        proc = run_proc(PRIMES, fast=fast,
-                        config=cfg(chunking=chunking))
+        proc = run_proc(PRIMES, config=cfg(chunking=chunking))
         assert proc.output == seq.output
 
     def test_output_printed_in_iteration_order(self):
