@@ -9,6 +9,7 @@ backend is pinned by ``tests/test_exec_golden.py``.
 """
 
 import textwrap
+import types
 
 import pytest
 
@@ -21,7 +22,7 @@ from repro.api import (
 )
 from repro.errors import TetraError, TetraInternalError, TetraLimitError
 from repro.interp import Interpreter
-from repro.runtime import RuntimeConfig, SequentialBackend
+from repro.runtime import CoopBackend, RuntimeConfig, SequentialBackend
 from repro.stdlib.io import CapturingIO
 from repro.tetra_ast import ArrayLiteral, Assign, DictLiteral, Name, walk
 from repro.tools.cli import main as cli_main
@@ -273,26 +274,43 @@ class TestFastPathParity:
             run_source(spin, backend="sequential", config=config)
 
 
-class TestCompiledRaceDetection:
-    def _closure(self, program, source, node, detect: bool):
-        interp = Interpreter(program, source, backend=SequentialBackend(),
-                             io=CapturingIO(),
-                             config=RuntimeConfig(num_workers=4,
-                                                  detect_races=detect))
-        return interp, interp.compiled.compile(node)
+def _builders(invokers) -> set[str]:
+    """The compiler methods that built every closure reachable from
+    ``invokers`` (through closure cells, tuples and lists)."""
+    seen, stack = {}, list(invokers)
+    while stack:
+        item = stack.pop()
+        if isinstance(item, (tuple, list)):
+            stack.extend(item)
+        elif isinstance(item, types.FunctionType) and id(item) not in seen:
+            seen[id(item)] = item
+            for cell in item.__closure__ or ():
+                stack.append(cell.cell_contents)
+    return {f.__qualname__.split(".<locals>")[0].rsplit(".", 1)[-1]
+            for f in seen.values()}
 
+
+class TestCompiledRaceDetection:
     def test_detection_runs_on_the_compiled_closures(self):
-        """Shared accesses compile with hooks only under detection; the
+        """Every shared-access site compiles with its hook only under
+        detection, on the lean and the full statement prologue alike; the
         hooked closures are what report the race."""
-        program, source = compile_source(RACY)
-        largest = next(n for n in walk(program.functions[0].body)
-                       if isinstance(n, Name) and n.id == "largest")
-        interp, hooked = self._closure(program, source, largest, True)
-        assert "_race_name" in hooked.__qualname__
-        _, plain = self._closure(program, source, largest, False)
-        assert "_race" not in plain.__qualname__
-        interp.run()
-        assert {r.variable for r in interp.races} == {"largest"}
+        program, source = compile_source(EVERY_ACCESS_KIND)
+        hooks = {"_race_name", "_race_store_name", "_race_index",
+                 "_race_store_index", "_race_attribute",
+                 "_race_store_attribute", "_race_lock", "_race_note"}
+        for backend in (SequentialBackend, CoopBackend):
+            for detect in (False, True):
+                interp = Interpreter(
+                    program, source, backend=backend(), io=CapturingIO(),
+                    config=RuntimeConfig(detect_races=detect))
+                built = _builders(interp.compiled.functions.values())
+                assert ({b for b in built if b.startswith("_race")}
+                        == (hooks if detect else set()))
+                if detect:
+                    interp.run()
+                    assert {r.variable for r in interp.races} \
+                        == {"n", "xs[0]", "d['k']", "Box.v"}
 
     def test_every_access_kind_reports_its_sites(self, any_backend):
         """Variable display, access kinds and both sites' line:column, in
