@@ -400,16 +400,21 @@ class TestStrictAnnotations:
                 (node.target if isinstance(node, Assign) else node).ty = None
         return program, source
 
-    @pytest.mark.parametrize("node_type", [ArrayLiteral, DictLiteral,
-                                           Assign])
-    def test_compile_rejects_untyped_literal(self, node_type):
-        """Every annotation the compiler depends on fails at compile time
-        with the shared "was this program type-checked?" hint."""
+    def _assert_rejected_at_compile_time(self, node_type):
         program, source = self._program_with_stripped(node_type)
         with pytest.raises(TetraInternalError,
                            match="was this program type-checked"):
             Interpreter(program, source, backend=SequentialBackend(),
                         io=CapturingIO())
+
+    def test_compile_rejects_untyped_literal(self):
+        self._assert_rejected_at_compile_time(ArrayLiteral)
+
+    @pytest.mark.parametrize("node_type", [DictLiteral, Assign])
+    def test_compile_rejects_untyped_annotation(self, node_type):
+        """Every annotation the compiler depends on fails at compile time
+        with the shared "was this program type-checked?" hint."""
+        self._assert_rejected_at_compile_time(node_type)
 
 
 # ----------------------------------------------------------------------

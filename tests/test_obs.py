@@ -259,9 +259,14 @@ class TestBackendClock:
         backend.recorder.charge(50)
         assert backend.now() - t0 == 50.0
 
-    def test_sim_clock_deltas_are_deterministic_units(self):
-        first = run_source(CLOCK_PROGRAM, backend="sim", cache=False).output
-        second = run_source(CLOCK_PROGRAM, backend="sim", cache=False).output
+    @pytest.mark.parametrize("detect_races", [True, False])
+    def test_sim_clock_deltas_are_deterministic_units(self, detect_races):
+        # With detection on, every shared access runs a compiled race hook;
+        # the virtual clock must still advance in whole, repeatable units.
+        first = run_source(CLOCK_PROGRAM, backend="sim", cache=False,
+                           detect_races=detect_races).output
+        second = run_source(CLOCK_PROGRAM, backend="sim", cache=False,
+                            detect_races=detect_races).output
         assert first == second, "virtual deltas never vary run to run"
         d1, d2, d3 = (float(line) for line in first.splitlines())
         assert d1 > 0 and d1 == int(d1), "deltas are whole cost units"

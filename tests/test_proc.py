@@ -122,10 +122,15 @@ class TestOffloadCorrectness:
         assert proc.backend.fallbacks == []
 
     @pytest.mark.parametrize("chunking", ["block", "cyclic", "dynamic"])
-    def test_all_chunkings_agree(self, chunking):
+    @pytest.mark.parametrize("offload", [True, False])
+    def test_all_chunkings_and_paths_agree(self, chunking, offload):
+        # offload=False takes the in-process path: race detection pins the
+        # loop to threads, which run the compiled race hooks.
         seq = run_source(PRIMES, backend="sequential")
-        proc = run_proc(PRIMES, config=cfg(chunking=chunking))
+        proc = run_proc(PRIMES, config=cfg(chunking=chunking,
+                                           detect_races=not offload))
         assert proc.output == seq.output
+        assert proc.backend.pool_workers == (4 if offload else 0)
 
     def test_output_printed_in_iteration_order(self):
         text = """
