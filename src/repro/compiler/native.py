@@ -33,25 +33,26 @@ Lowering contract (see DESIGN §2c for the full write-up):
   reassignment frees the old one and every exit frees all of them.  They
   cannot alias, be returned, or escape — an array used as a value (``b =
   a``) keeps the function on the fast path.
+* A function that may read a local before assigning it stays on the fast
+  path, which raises that error (C locals would read 0).
 * Arrays passed in are marshalled by copy (pointer + length); element
-  stores are copied back only on success.  A kernel that errors mid-loop
-  does not write partial results back — a deviation from the fast path
-  observable only through ``try``-recovered state.
-* Runtime errors (division by zero, index out of range, sqrt domain) latch
-  an error code + line in a shared ``tt_ctx`` struct; every loop back-edge
-  polls it, so errors and time-limit/cancel interrupts stop hot C loops
-  within ~1024 iterations.
+  stores are copied back only when the kernel returns cleanly.
+* Every failure is a *deopt*.  A runtime error (division by zero, index
+  out of range, sqrt of a negative number), int64 overflow (checked with
+  ``__builtin_*_overflow``, including ``INT64_MIN / -1``, ``abs``,
+  negation and float-to-int), depth past the cap, a negative array
+  length and a failed ``malloc`` all latch a code + line in a shared
+  ``tt_ctx`` struct; every loop back-edge polls it, so failures and
+  time-limit/cancel interrupts stop hot C loops within ~1024 iterations.
 
-Deopt protocol: whatever the C code cannot do exactly latches a *deopt*
-code instead — int64 overflow (checked with ``__builtin_*_overflow``,
-including ``INT64_MIN / -1``, ``abs``, negation and float-to-int), depth
-past the cap, a negative array length, or a failed ``malloc``.  Since
-nothing a kernel did is copied back, the function invoker then reruns the
-call on the fast path from its original arguments, and a loop kernel's
-``try_parallel_for`` returns False so the loop runs on the fast path.  A
-rerun never re-enters C: native invokers on that thread are bypassed
-until it returns.  Each deopt is counted in ``--metrics`` with its line
-and cause.
+Since nothing a failed kernel did is copied back, the function invoker
+then reruns the call on the fast path from its original arguments, and a
+loop kernel's ``try_parallel_for`` returns False so the loop runs on the
+fast path.  The fast path alone therefore produces the output, the
+partial writes, the error and its span; a trapping call costs a second
+run.  A rerun never re-enters C: native invokers on that thread are
+bypassed until it returns.  Each deopt is counted in ``--metrics`` with
+its line and cause.
 """
 
 from __future__ import annotations
@@ -68,15 +69,9 @@ import threading
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from ..errors import (
-    TetraIndexError,
-    TetraNativeError,
-    TetraRuntimeError,
-    TetraZeroDivisionError,
-)
+from ..errors import TetraNativeError
 from ..runtime.parplan import plan_parallel_for
 from ..runtime.values import TetraArray
-from ..source import Span
 from ..tetra_ast import (
     Assign,
     AugAssign,
@@ -110,7 +105,7 @@ from ..types import BOOL, INT, REAL, VOID, ArrayType, BoolType, IntType, RealTyp
 #: Bumped whenever the C runtime protocol (tt_ctx layout, helper
 #: signatures, kernel calling convention) changes; stale on-disk artifacts
 #: with a different ABI recompile cold instead of erroring.
-ABI_VERSION = 2
+ABI_VERSION = 3
 
 #: Cached shared objects beyond this count are evicted oldest-first.
 CACHE_MAX_ENTRIES = 64
@@ -119,9 +114,17 @@ CACHE_MAX_ENTRIES = 64
 #: any thread's stack, far above the default ``recursion_limit``.
 C_DEPTH_CAP = 2048
 
-#: Error codes that mean "the C code cannot do this exactly" (rerun on
-#: the fast path) rather than a Tetra runtime error.
-_DEOPT_CAUSES = {7: "overflow", 8: "alloc", 9: "depth"}
+#: Why a kernel deopted: its nonzero ``tt_ctx.err`` code (numbered from
+#: 1 in this order), as the C macro that latches it and the cause
+#: ``--metrics`` names.  The fast path rerun decides what the error says.
+_DEOPT_CAUSES = (
+    ("TT_ZERO_DIV", "division by zero"),
+    ("TT_INDEX", "index out of range"),
+    ("TT_SQRT", "sqrt domain"),
+    ("TT_OVERFLOW", "overflow"),
+    ("TT_ALLOC", "alloc"),
+    ("TT_DEPTH", "depth"),
+)
 
 _INT64_MIN = -(2 ** 63)
 _INT64_MAX = 2 ** 63 - 1
@@ -260,7 +263,6 @@ class Lowering:
     functions: dict  # name -> _CFn
     loops: list  # (ParallelFor node, _CLoop)
     fallbacks: list  # (line, reason)
-    line_spans: dict  # line -> Span, for reconstructing error spans
 
     @property
     def key(self) -> str:
@@ -412,33 +414,6 @@ def _reset_for_tests() -> None:
 
 
 # ----------------------------------------------------------------------
-# Error mapping (C error codes -> Tetra exceptions)
-# ----------------------------------------------------------------------
-def _map_error(code: int, a: int, b: int, span: Span):
-    if code == 1:
-        return TetraZeroDivisionError("integer division by zero", span)
-    if code == 2:
-        return TetraZeroDivisionError("integer modulo by zero", span)
-    if code == 3:
-        return TetraZeroDivisionError("division by zero", span)
-    if code == 4:
-        return TetraZeroDivisionError("modulo by zero", span)
-    if code == 5:
-        return TetraIndexError(
-            f"index {a} is out of range for an array of length {b} "
-            f"(valid indexes are 0 through {b - 1})",
-            span,
-        )
-    if code == 6:
-        return TetraRuntimeError(
-            "sqrt() is not defined for negative numbers", span
-        )
-    return TetraRuntimeError(
-        f"native kernel failed (internal error code {code})", span
-    )
-
-
-# ----------------------------------------------------------------------
 # Guard watcher: interrupts hot C loops from the Python side
 # ----------------------------------------------------------------------
 class _Watcher:
@@ -546,12 +521,11 @@ _CMP_SYMBOLS = {
 class _Emitter:
     """Emits one C function body (a lowered function or a loop kernel)."""
 
-    def __init__(self, callables: dict, resolve, line_spans: dict,
+    def __init__(self, callables: dict, resolve,
                  in_parallel_body: bool = False, call_depth: str = "depth + 1",
                  owned: tuple = ()):
         self.callables = callables
         self.resolve = resolve
-        self.line_spans = line_spans
         self.in_parallel_body = in_parallel_body
         #: The depth argument of calls made from this body.
         self.call_depth = call_depth
@@ -565,11 +539,6 @@ class _Emitter:
     # -- plumbing ------------------------------------------------------
     def out(self, text: str) -> None:
         self.lines.append("    " * self.depth + text)
-
-    def _line(self, node) -> int:
-        line = node.span.line
-        self.line_spans.setdefault(line, node.span)
-        return line
 
     def _temp(self, prefix: str) -> str:
         self._tmp += 1
@@ -615,22 +584,20 @@ class _Emitter:
         if isinstance(e, BinOp):
             lc, lt = self.expr(e.left)
             rc, rt = self.expr(e.right)
-            return self._binop(e.op, lc, lt, rc, rt, self._line(e))
+            return self._binop(e.op, lc, lt, rc, rt, e.span.line)
         if isinstance(e, Index):
             arr = self._array(e.base)
             idx, idx_ty = self.expr(e.index)
             if not isinstance(idx_ty, IntType):
                 raise _Ineligible("array index is not an int")
-            line = self._line(e)
-            code = (f"{arr.buf}[tt_idx(ctx, {arr.length}, {idx}, {line})]")
-            return code, arr.elem
+            return (f"{arr.buf}[tt_idx(ctx, {arr.length}, {idx}, "
+                    f"{e.span.line})]"), arr.elem
         if isinstance(e, Call):
             return self._call(e)
         raise _Ineligible(f"{type(e).__name__} expressions are not lowered")
 
     def _unary(self, e) -> tuple[str, object]:
         code, ty = self.expr(e.operand)
-        line = self._line(e)
         if e.op is UnaryOp.NOT:
             return f"(int64_t)(!({code}))", BOOL
         if not ty.is_numeric:
@@ -639,7 +606,7 @@ class _Emitter:
             return code, ty
         if isinstance(ty, RealType):
             return f"(-({code}))", REAL
-        return f"tt_ineg(ctx, {code}, {line})", INT
+        return f"tt_ineg(ctx, {code}, {e.span.line})", INT
 
     def _binop(self, op, lc, lt, rc, rt, line) -> tuple[str, object]:
         if op in _CMP_SYMBOLS:
@@ -692,7 +659,7 @@ class _Emitter:
 
     def _builtin(self, e) -> tuple[str, object]:
         name = e.func
-        line = self._line(e)
+        line = e.span.line
         if name == "len":
             if len(e.args) != 1:
                 raise _Ineligible("len() with unexpected arity")
@@ -786,10 +753,9 @@ class _Emitter:
         if isinstance(target, Index):
             arr = self._array(target.base)
             idx, _ = self.expr(target.index)
-            line = self._line(s)
             store = self._coerce(code, val_ty, arr.elem)
             self.out(
-                f"{arr.buf}[tt_idx(ctx, {arr.length}, {idx}, {line})]"
+                f"{arr.buf}[tt_idx(ctx, {arr.length}, {idx}, {s.span.line})]"
                 f" = {store};"
             )
             return
@@ -817,12 +783,12 @@ class _Emitter:
         new = "tt_rnew" if isinstance(arr.elem, RealType) else "tt_inew"
         self.out(
             f"{arr.buf} = {new}(ctx, {arr.buf}, {arr.buf}_spare, "
-            f"&{arr.length}, {n_code}, {fill_code}, {self._line(s)});"
+            f"&{arr.length}, {n_code}, {fill_code}, {s.span.line});"
         )
 
     def _aug_assign(self, s) -> None:
         vc, vt = self.expr(s.value)
-        line = self._line(s)
+        line = s.span.line
         if isinstance(s.target, Name):
             ref = self._scalar(s.target.id, s)
             if not ref.writable:
@@ -974,6 +940,55 @@ def _always_returns(block: Block) -> bool:
     return False
 
 
+def _assigned_after(block: Block, assigned: frozenset):
+    """The variables assigned on every path through ``block`` when
+    ``assigned`` are on entry, or None if no path reaches its end.  Raises
+    _Ineligible at a read that some path reaches first: the fast path
+    raises there, while a C local would read 0."""
+    def read(*exprs):
+        for e in exprs:
+            for node in walk(e) if e is not None else ():
+                if isinstance(node, Name) and node.id not in assigned:
+                    raise _Ineligible(
+                        f"may read '{node.id}' before assigning it "
+                        f"(line {node.span.line})"
+                    )
+
+    for s in block.statements:
+        if isinstance(s, Assign) and isinstance(s.target, Name):
+            read(s.value)
+            assigned |= {s.target.id}
+        elif isinstance(s, Declare):
+            read(s.value)
+            assigned |= {s.name}
+        elif isinstance(s, (Assign, AugAssign)):
+            read(s.target, s.value)
+        elif isinstance(s, ExprStmt):
+            read(s.expr)
+        elif isinstance(s, Return):
+            read(s.value)
+            return None
+        elif isinstance(s, (Break, Continue)):
+            return None
+        elif isinstance(s, If):
+            read(s.cond, *(c.cond for c in s.elifs))
+            ends = [_assigned_after(b, assigned) for b in
+                    [s.then, *(c.body for c in s.elifs)]]
+            ends.append(assigned if s.orelse is None
+                        else _assigned_after(s.orelse, assigned))
+            ends = [end for end in ends if end is not None]
+            if not ends:
+                return None
+            assigned = frozenset.intersection(*ends)
+        elif isinstance(s, While):
+            read(s.cond)
+            _assigned_after(s.body, assigned)
+        elif isinstance(s, For):
+            read(s.iterable)
+            _assigned_after(s.body, assigned | {s.var})
+    return assigned
+
+
 # ----------------------------------------------------------------------
 # C runtime prelude (error protocol + checked helpers)
 # ----------------------------------------------------------------------
@@ -997,27 +1012,20 @@ typedef struct {
     volatile int64_t stop;
     volatile int64_t err;
     volatile int64_t err_line;
-    volatile int64_t err_a;
-    volatile int64_t err_b;
     int64_t max_depth;
 } tt_ctx;
 
-/* Error codes 7-9 are deopts: the caller reruns on the fast path. */
-#define TT_OVERFLOW 7
-#define TT_ALLOC 8
-#define TT_DEPTH 9
+/* Every error code is a deopt: the caller reruns on the fast path. */
+@CAUSES@
 
 int64_t tt_abi(void) { return @ABI@; }
 
 /* First error wins; later failures in other workers are dropped.  Cold
  * and out of line: every checked operation branches here. */
 __attribute__((cold, noinline))
-static void tt_fail(tt_ctx *c, int64_t code, int64_t line,
-                    int64_t a, int64_t b) {
+static void tt_fail(tt_ctx *c, int64_t code, int64_t line) {
     if (!c->err) {
         c->err_line = line;
-        c->err_a = a;
-        c->err_b = b;
         c->err = code;
     }
 }
@@ -1030,7 +1038,7 @@ static void tt_fail(tt_ctx *c, int64_t code, int64_t line,
 static inline int tt_enter(tt_ctx *c, int64_t depth, int64_t line) {
     if (c->stop | c->err) return 1;
     if (depth >= c->max_depth) {
-        tt_fail(c, TT_DEPTH, line, depth, 0);
+        tt_fail(c, TT_DEPTH, line);
         return 1;
     }
     return 0;
@@ -1041,7 +1049,7 @@ static inline int64_t NAME(tt_ctx *c, int64_t a, int64_t b, \\
                            int64_t line) { \\
     int64_t r; \\
     if (__builtin_expect(OP(a, b, &r), 0)) \\
-        tt_fail(c, TT_OVERFLOW, line, 0, 0); \\
+        tt_fail(c, TT_OVERFLOW, line); \\
     return r; \\
 }
 TT_ARITH(tt_add, __builtin_add_overflow)
@@ -1053,42 +1061,42 @@ static inline int64_t tt_ineg(tt_ctx *c, int64_t a, int64_t line) {
 }
 
 static inline int64_t tt_idiv(tt_ctx *c, int64_t a, int64_t b, int64_t line) {
-    if (b == 0) { tt_fail(c, 1, line, 0, 0); return 0; }
+    if (b == 0) { tt_fail(c, TT_ZERO_DIV, line); return 0; }
     if (b == -1) return tt_ineg(c, a, line);  /* INT64_MIN / -1 */
     return a / b;  /* C99: truncation toward zero, same as Tetra int_div */
 }
 
 static inline int64_t tt_imod(tt_ctx *c, int64_t a, int64_t b, int64_t line) {
-    if (b == 0) { tt_fail(c, 2, line, 0, 0); return 0; }
+    if (b == 0) { tt_fail(c, TT_ZERO_DIV, line); return 0; }
     if (b == -1) return 0;
     return a % b;  /* C99: sign of dividend, same as Tetra int_mod */
 }
 
 static inline double tt_rdiv(tt_ctx *c, double a, double b, int64_t line) {
-    if (b == 0.0) { tt_fail(c, 3, line, 0, 0); return 0.0; }
+    if (b == 0.0) { tt_fail(c, TT_ZERO_DIV, line); return 0.0; }
     return a / b;
 }
 
 static inline double tt_rmod(tt_ctx *c, double a, double b, int64_t line) {
-    if (b == 0.0) { tt_fail(c, 4, line, 0, 0); return 0.0; }
+    if (b == 0.0) { tt_fail(c, TT_ZERO_DIV, line); return 0.0; }
     return fmod(a, b);
 }
 
 /* Buffers are always allocated with at least one element, so the
  * error-path index 0 reads allocated memory while the error latches. */
 static inline int64_t tt_idx(tt_ctx *c, int64_t n, int64_t i, int64_t line) {
-    if (i < 0 || i >= n) { tt_fail(c, 5, line, i, n); return 0; }
+    if (i < 0 || i >= n) { tt_fail(c, TT_INDEX, line); return 0; }
     return i;
 }
 
 static inline double tt_sqrt(tt_ctx *c, double x, int64_t line) {
-    if (x < 0.0) { tt_fail(c, 6, line, 0, 0); return 0.0; }
+    if (x < 0.0) { tt_fail(c, TT_SQRT, line); return 0.0; }
     return sqrt(x);
 }
 
 static inline int64_t tt_f2i(tt_ctx *c, double f, int64_t line) {
     if (!(f >= -9223372036854775808.0 && f < 9223372036854775808.0)) {
-        tt_fail(c, TT_OVERFLOW, line, 0, 0);
+        tt_fail(c, TT_OVERFLOW, line);
         return 0;
     }
     return (int64_t)f;
@@ -1129,7 +1137,7 @@ static T *NAME(tt_ctx *c, T *old, T *spare, int64_t *len, int64_t n, \\
     if (c->stop | c->err) return spare; \\
     if (n < 0 || (uint64_t)n >= SIZE_MAX / sizeof(T) \\
             || !(buf = (T *)malloc(sizeof(T) * (size_t)(n ? n : 1)))) { \\
-        tt_fail(c, TT_ALLOC, line, n, 0); \\
+        tt_fail(c, TT_ALLOC, line); \\
         return spare; \\
     } \\
     for (i = 0; i < n; i++) buf[i] = fill; \\
@@ -1142,7 +1150,10 @@ TT_NEW(tt_rnew, double)
 
 
 def _c_prelude() -> str:
-    return _C_PRELUDE.replace("@ABI@", str(ABI_VERSION))
+    causes = "\n".join(f"#define {macro} {code}" for code, (macro, _)
+                       in enumerate(_DEOPT_CAUSES, 1))
+    return (_C_PRELUDE.replace("@ABI@", str(ABI_VERSION))
+            .replace("@CAUSES@", causes))
 
 
 # ----------------------------------------------------------------------
@@ -1185,8 +1196,7 @@ def _fn_signature_text(meta) -> str:
     return f"{ret} {meta.cname}({', '.join(params)})"
 
 
-def _emit_function(fn, sig, scope, callables: dict,
-                   line_spans: dict) -> str:
+def _emit_function(fn, sig, scope, callables: dict) -> str:
     """Emit the C definition of one eligible function (or raise
     _Ineligible with the reason it cannot be lowered)."""
     ret = sig.return_type
@@ -1213,11 +1223,12 @@ def _emit_function(fn, sig, scope, callables: dict,
         return _ScalarRef(f"v_{name}", ty, True)
 
     zero = "return;" if ret is VOID else f"return ({_ctype(ret)})0;"
-    em = _Emitter(callables, resolve, line_spans,
+    em = _Emitter(callables, resolve,
                   owned=tuple(f"v_{name}" for name in local_arrays))
     em.ret_ty = ret
     em.block(fn.body)
     em.out_exit(zero)
+    _assigned_after(fn.body, frozenset(params))
 
     meta = callables[fn.name]
     attr = "__attribute__((noinline)) " if meta.recursive else ""
@@ -1262,8 +1273,7 @@ def _loop_signature_text(meta) -> str:
     return f"int64_t {meta.cname}({', '.join(params)})"
 
 
-def _emit_loop(stmt, meta, program, callables: dict,
-               line_spans: dict) -> str:
+def _emit_loop(stmt, meta, program, callables: dict) -> str:
     rednames = {name for name, _op, _ty in meta.reductions}
     redtypes = {name: ty for name, _op, ty in meta.reductions}
     env_map = dict(meta.env)
@@ -1285,7 +1295,7 @@ def _emit_loop(stmt, meta, program, callables: dict,
 
     # The body runs in its function's frame: calls from it are made at
     # the loop's own call-stack depth.
-    em = _Emitter(callables, resolve, line_spans, in_parallel_body=True,
+    em = _Emitter(callables, resolve, in_parallel_body=True,
                   call_depth="depth")
     em.ret_ty = VOID
     em.depth = 2
@@ -1353,7 +1363,7 @@ def _emit_loop(stmt, meta, program, callables: dict,
     lines.append("    int64_t w;")
     lines.append("    if (!envs || !tids || !live) {")
     lines.append("        free(envs); free(tids); free(live);")
-    lines.append(f"        tt_fail(ctx, TT_ALLOC, {meta.line}, 0, 0);")
+    lines.append(f"        tt_fail(ctx, TT_ALLOC, {meta.line});")
     lines.append("        return 0;")
     lines.append("    }")
     lines.append("    for (w = 0; w < nworkers; w++) {")
@@ -1494,7 +1504,6 @@ def lower_program(program, symbols) -> Lowering:
     # full emission.
     fn_texts: list[str] = []
     metas: dict[str, _CFn] = {}
-    line_spans: dict[int, Span] = {}
     while True:
         edges = {
             name: _call_targets(fn, set(candidates))
@@ -1515,13 +1524,12 @@ def lower_program(program, symbols) -> Lowering:
         # Every user function, lowered (its _CFn) or not (None).
         callables = {fn.name: None for fn in program.functions} | metas
         fn_texts = []
-        line_spans = {}
         failed = False
         for name, fn in list(candidates.items()):
             try:
                 fn_texts.append(_emit_function(
                     fn, symbols.functions[name],
-                    symbols.scope_of(name), callables, line_spans,
+                    symbols.scope_of(name), callables,
                 ))
             except _Ineligible as exc:
                 note(fn.span.line, f"'{name}': {exc.reason}")
@@ -1543,7 +1551,7 @@ def lower_program(program, symbols) -> Lowering:
                 meta = _plan_loop(fn, scope, node, program)
                 meta.cname = f"tt_pf{k}"
                 loop_texts.append(
-                    _emit_loop(node, meta, program, callables, line_spans)
+                    _emit_loop(node, meta, program, callables)
                 )
             except _Ineligible as exc:
                 note(node.span.line, exc.reason)
@@ -1562,7 +1570,7 @@ def lower_program(program, symbols) -> Lowering:
 
     cdef_lines = [
         "typedef struct { int64_t stop; int64_t err; int64_t err_line; "
-        "int64_t err_a; int64_t err_b; int64_t max_depth; } tt_ctx;",
+        "int64_t max_depth; } tt_ctx;",
         "int64_t tt_abi(void);",
     ]
     cdef_lines.extend(protos)
@@ -1572,7 +1580,6 @@ def lower_program(program, symbols) -> Lowering:
         functions=metas,
         loops=loops,
         fallbacks=fallbacks,
-        line_spans=line_spans,
     )
 
 
@@ -1581,6 +1588,27 @@ def lower_program(program, symbols) -> Lowering:
 # ----------------------------------------------------------------------
 #: What ``NativeRun._call`` returns when the C code deopted.
 _DEOPT = object()
+
+
+def _marshal_array(ffi, arr, elem, bufs: dict) -> tuple:
+    """(buffer, length) of a C copy of ``arr``, kept in ``bufs`` for the
+    copy-back.  An array passed twice shares one buffer, as its two names
+    share one list in Python."""
+    entry = bufs.get(id(arr))
+    if entry is None:
+        n = len(arr.items)
+        ctyp = "double[]" if isinstance(elem, RealType) else "int64_t[]"
+        entry = bufs[id(arr)] = (arr, ffi.new(ctyp, arr.items if n else 1),
+                                 n, elem)
+    return entry[1:3]
+
+
+def _copy_back(ffi, bufs: dict) -> None:
+    """After a clean return, each C buffer replaces its array's items."""
+    for arr, buf, n, elem in bufs.values():
+        data = list(ffi.unpack(buf, n)) if n else []
+        arr.items[:] = ([bool(x) for x in data]
+                        if isinstance(elem, BoolType) else data)
 
 
 class _Bypass(threading.local):
@@ -1614,7 +1642,7 @@ class NativeRun:
     def _call(self, func, cargs, ctx, span):
         """Run one C entry point from ``ctx``'s call depth.  Returns its
         result, or ``_DEOPT`` (counted in the state) when the caller must
-        rerun on the fast path; raises mapped Tetra errors."""
+        rerun on the fast path."""
         module = self.module
         cctx = module.ffi.new("tt_ctx *")
         depth = len(ctx.call_stack)
@@ -1636,15 +1664,9 @@ class NativeRun:
         if stored is not None:
             raise stored
         if cctx.err:
-            cause = _DEOPT_CAUSES.get(cctx.err)
-            if cause is not None:
-                self.state.note_deopt(cctx.err_line, cause)
-                return _DEOPT
-            err_span = self.lowering.line_spans.get(cctx.err_line, span)
-            exc = _map_error(cctx.err, cctx.err_a, cctx.err_b, err_span)
-            if self.interp.source is not None:
-                exc.attach_source(self.interp.source)
-            raise exc
+            self.state.note_deopt(cctx.err_line,
+                                  _DEOPT_CAUSES[cctx.err - 1][1])
+            return _DEOPT
         if cctx.stop and guard is not None:
             guard.check(ctx, span)
         return ret
@@ -1676,19 +1698,12 @@ class NativeRun:
             if bypass.active:
                 return fallback(args, ctx, span)
             cargs = []
-            writebacks = []
+            bufs = {}
             try:
                 for value, want in zip(args, param_types):
                     if isinstance(want, ArrayType):
-                        items = value.items
-                        n = len(items)
-                        ctyp = ("double[]"
-                                if isinstance(want.element, RealType)
-                                else "int64_t[]")
-                        buf = ffi.new(ctyp, items if n else 1)
-                        cargs.append(buf)
-                        cargs.append(n)
-                        writebacks.append((value, buf, n, want.element))
+                        cargs.extend(
+                            _marshal_array(ffi, value, want.element, bufs))
                     elif isinstance(want, RealType):
                         cargs.append(float(value))
                     else:
@@ -1706,11 +1721,7 @@ class NativeRun:
                     return fallback(args, ctx, span)
                 finally:
                     bypass.active = False
-            for arr, buf, n, elem in writebacks:
-                data = list(ffi.unpack(buf, n)) if n else []
-                if isinstance(elem, BoolType):
-                    data = [bool(x) for x in data]
-                arr.items[:] = data
+            _copy_back(ffi, bufs)
             if ret_ty is VOID:
                 return None
             if isinstance(ret_ty, BoolType):
@@ -1798,23 +1809,12 @@ class NativeRun:
                 pos += len(chunk)
             cargs = [nworkers, ffi.new("int64_t[]", starts),
                      ffi.new("int64_t[]", counts), items_buf]
-            bufs: dict[int, tuple] = {}
-            writebacks = []
+            bufs = {}
             for name, ty in meta.env:
                 if name in scalars:
                     cargs.append(scalars[name])
-                    continue
-                arr, elem = arrays[name]
-                entry = bufs.get(id(arr))
-                if entry is None:
-                    n = len(arr.items)
-                    ctyp = ("double[]" if isinstance(elem, RealType)
-                            else "int64_t[]")
-                    entry = (ffi.new(ctyp, arr.items if n else 1), n)
-                    bufs[id(arr)] = entry
-                    writebacks.append((arr, entry[0], n, elem))
-                cargs.append(entry[0])
-                cargs.append(entry[1])
+                else:
+                    cargs.extend(_marshal_array(ffi, *arrays[name], bufs))
             red_outs = []
             for (name, _op, ty), init in zip(meta.reductions, red_init):
                 ctyp = ("double[]" if isinstance(ty, RealType)
@@ -1845,11 +1845,7 @@ class NativeRun:
             else:
                 merged = max([init] + finals)
             env.set(name, merged)
-        for arr, buf, n, elem in writebacks:
-            data = list(ffi.unpack(buf, n)) if n else []
-            if isinstance(elem, BoolType):
-                data = [bool(x) for x in data]
-            arr.items[:] = data
+        _copy_back(ffi, bufs)
         state.parallel_calls += 1
         if obs is not None and obs.trace:
             obs.call_span(

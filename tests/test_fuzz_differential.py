@@ -17,7 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.api import run_source
 from repro.compiler import run_compiled
 from repro.compiler.native import find_compiler
-from repro.errors import TetraError
+from repro.errors import TetraError, exit_code_for
 
 VARS = ["a", "b", "c"]
 
@@ -25,31 +25,37 @@ VARS = ["a", "b", "c"]
 # ----------------------------------------------------------------------
 # Expression generator (ints only — the richest operator set)
 # ----------------------------------------------------------------------
-def int_exprs(depth: int = 0):
+def int_exprs(depth: int = 0, traps: bool = False):
+    """Int expressions over VARS.  Division and modulo use non-zero
+    literal divisors, so the program cannot fail at runtime, unless
+    ``traps``: then they may also divide by the parameter ``d``, which
+    can be 0, and leaves may index the length-3 parameter array ``xs``
+    out of range."""
     leaves = st.one_of(
         st.integers(-50, 50).map(lambda v: f"({v})" if v < 0 else str(v)),
         st.sampled_from(VARS),
+        *([st.integers(0, 3).map(lambda k: f"xs[{k}]")] if traps else []),
     )
     if depth >= 2:
         return leaves
 
     def binop(children):
-        # Division and modulo use non-zero literal divisors so the program
-        # cannot fail at runtime (failures are tested elsewhere).
-        safe_divisor = st.integers(1, 9)
+        divisor = st.integers(1, 9).map(str)
+        if traps:
+            divisor = st.one_of(divisor, st.just("d"))
         return st.one_of(
             st.tuples(st.sampled_from(["+", "-", "*"]), children, children)
             .map(lambda t: f"({t[1]} {t[0]} {t[2]})"),
-            st.tuples(children, st.sampled_from(["/", "%"]), safe_divisor)
+            st.tuples(children, st.sampled_from(["/", "%"]), divisor)
             .map(lambda t: f"({t[0]} {t[1]} {t[2]})"),
         )
 
-    return st.one_of(leaves, binop(int_exprs(depth + 1)))
+    return st.one_of(leaves, binop(int_exprs(depth + 1, traps)))
 
 
-def conditions():
+def conditions(traps: bool = False):
     op = st.sampled_from(["<", "<=", ">", ">=", "==", "!="])
-    return st.tuples(int_exprs(1), op, int_exprs(1)).map(
+    return st.tuples(int_exprs(1, traps), op, int_exprs(1, traps)).map(
         lambda t: f"{t[0]} {t[1]} {t[2]}"
     )
 
@@ -202,23 +208,27 @@ class TestDifferentialFuzz:
 # ----------------------------------------------------------------------
 @st.composite
 def native_statements(draw, depth=0):
-    """Like :func:`statements`, but growth-bounded: native kernels do
-    64-bit wraparound arithmetic (a documented lowering deviation), so
-    the generator must keep every intermediate inside int64 — additive
-    augmented assignments only, and products only of small leaves."""
+    """Like :func:`statements`, but with expressions that can trap
+    (division by ``d``, indexing ``xs``) and stores into ``xs``.  Growth
+    stays bounded — additive augmented assignments only — so most
+    intermediates fit in int64 and the kernel runs in C rather than
+    deopting on overflow."""
     kind = draw(st.sampled_from(
-        ["assign", "aug", "if", "for"]
-        if depth < 2 else ["assign", "aug"]
+        ["assign", "aug", "store", "if", "for"]
+        if depth < 2 else ["assign", "aug", "store"]
     ))
     if kind == "assign":
         var = draw(st.sampled_from(VARS))
-        return [f"{var} = {draw(int_exprs())}"]
+        return [f"{var} = {draw(int_exprs(traps=True))}"]
     if kind == "aug":
         var = draw(st.sampled_from(VARS))
         op = draw(st.sampled_from(["+", "-"]))
         return [f"{var} {op}= {draw(st.integers(1, 9))}"]
+    if kind == "store":
+        k = draw(st.integers(0, 3))
+        return [f"xs[{k}] = {draw(int_exprs(traps=True))}"]
     if kind == "if":
-        cond = draw(conditions())
+        cond = draw(conditions(traps=True))
         then = draw(native_blocks(depth + 1))
         orelse = draw(native_blocks(depth + 1))
         lines = [f"if {cond}:"] + [f"    {s}" for s in then]
@@ -240,20 +250,31 @@ def native_blocks(draw, depth=0):
 @st.composite
 def native_function_programs(draw):
     """A numeric function (the native tier's lowering unit) plus a main
-    that exercises it from several call sites."""
+    that exercises it from several call sites on one shared array."""
     body = draw(native_blocks())
     ret = draw(st.sampled_from(
-        ["a + b + c", "a - c", "a * 2 + b", "c % 7 + a"]))
-    fn = ["def kernel(a int, b int, c int) int:"]
+        ["a + b + c", "a - c", "a * 2 + b", "c % 7 + a", "xs[1] / d"]))
+    fn = ["def kernel(a int, b int, c int, d int, xs [int]) int:"]
     fn += [f"    {line}" for line in body]
     fn.append(f"    return {ret}")
+    small = st.integers(-20, 20)
     calls = draw(st.lists(
-        st.tuples(st.integers(-20, 20), st.integers(-20, 20),
-                  st.integers(-20, 20)),
+        st.tuples(small, small, small, st.integers(-2, 2)),
         min_size=1, max_size=4))
-    main = ["def main():"]
-    main += [f"    print(kernel({a}, {b}, {c}))" for a, b, c in calls]
+    xs = draw(st.lists(small, min_size=3, max_size=3))
+    main = ["def main():", f"    xs = {xs}"]
+    main += [f"    print(kernel({a}, {b}, {c}, {d}, xs))"
+             for a, b, c, d in calls]
+    main.append("    print(xs)")
     return "\n".join(fn) + "\n\n" + "\n".join(main) + "\n"
+
+
+def outcome(text, **kwargs):
+    """Output, exit code and rendered diagnostic of one run."""
+    result = run_source(text, on_error="return", **kwargs)
+    err = result.error
+    return (result.output, exit_code_for(err) if err else 0,
+            err.render() if err else None)
 
 
 #: A counterexample hypothesis found: the kernel's intermediates leave
@@ -270,13 +291,17 @@ INT64_OVERFLOW_KERNEL = (
     or importlib.util.find_spec("cffi") is None,
     reason="no C toolchain (compiler + cffi) on this machine")
 class TestNativeFuzz:
+    """The native tier against the fast path (output, exit code and
+    rendered diagnostic), and clean runs also against the codegen."""
+
     @given(native_function_programs())
     @example(INT64_OVERFLOW_KERNEL)
     @settings(max_examples=60, deadline=None)
     def test_native_functions_match_tree_walker(self, text):
-        fast = run_source(text, native="off").output
-        compiled = run_source(text, native="require").output
-        assert fast == compiled, text
+        fast = outcome(text, native="off")
+        assert outcome(text, native="require") == fast, text
+        if fast[1] == 0:
+            assert run_compiled(text).output == fast[0], text
 
     @given(parallel_reduction_programs())
     @settings(max_examples=15, deadline=None)
@@ -284,7 +309,10 @@ class TestNativeFuzz:
         text, workers = case
         from repro.runtime import RuntimeConfig
 
-        config = RuntimeConfig(num_workers=min(workers, 4))
-        fast = run_source(text, config=config, native="off").output
-        compiled = run_source(text, config=config, native="require").output
-        assert fast == compiled, text
+        workers = min(workers, 4)
+        config = RuntimeConfig(num_workers=workers)
+        fast = outcome(text, config=config, native="off")
+        assert outcome(text, config=config, native="require") == fast, text
+        if fast[1] == 0:
+            compiled = run_compiled(text, num_workers=workers).output
+            assert compiled == fast[0], text

@@ -11,6 +11,8 @@ Four groups:
 * recursion, local arrays and the deopt protocol: the recursion limit,
   deep recursion, time limits, allocation and overflow give the same
   output and diagnostic with the tier on and off;
+* runtime errors in C: every trap deopts, so the fast path's rerun
+  produces the partial writes, the error, its caret and its exit code;
 * artifact-cache tests (reuse across runs, corrupt-file recovery).
 """
 
@@ -31,7 +33,12 @@ from repro.api import (
     program_cache_info,
     run_source,
 )
-from repro.errors import TetraLimitError, TetraNativeError, exit_code_for
+from repro.errors import (
+    TetraError,
+    TetraLimitError,
+    TetraNativeError,
+    exit_code_for,
+)
 from repro.runtime.backend import RuntimeConfig
 from repro.tetra_ast import walk
 
@@ -64,7 +71,7 @@ def run(text, native_mode="require", **kwargs):
 
 def differential(text, num_workers=None, chunking=None, **kwargs):
     """Run dedented source on the fast path and the native tier; both must
-    agree on output (or raise the same rendered error)."""
+    agree on output (or raise the same rendered error, caret included)."""
     text = textwrap.dedent(text)
     if num_workers is not None or chunking is not None:
         kwargs["config"] = RuntimeConfig(
@@ -73,8 +80,8 @@ def differential(text, num_workers=None, chunking=None, **kwargs):
     def one(mode):
         try:
             return ("ok", run_source(text, native=mode, **kwargs).output)
-        except Exception as exc:  # noqa: BLE001 — compared, not hidden
-            return ("err", f"{type(exc).__name__}: {exc}")
+        except TetraError as exc:
+            return ("err", exc.render())
 
     fast = one("off")
     compiled = one("require")
@@ -306,6 +313,57 @@ class TestEligibility:
         assert not low.loops
         assert low.fallbacks
 
+    def test_a_local_that_may_be_unassigned_keeps_its_function_in_python(
+            self):
+        low = self.lowering("""
+        def both(n int) int:
+            if n > 0:
+                y = 1
+            else:
+                y = 2
+            return y
+
+        def guarded(n int) int:
+            if n < 0:
+                return 0
+            elif n == 0:
+                y = 1
+            else:
+                y = n
+            return y
+
+        def inner(n int) int:
+            total = 0
+            while n > 0:
+                step = n % 3
+                total += step
+                n -= 1
+            for i in [1 ... n]:
+                total += i
+            return total
+
+        def after_loop(n int) int:
+            for i in [1 ... n]:
+                pass
+            return i
+
+        def after_while(n int) int:
+            while n > 0:
+                last = n
+                n -= 1
+            return last
+
+        def main():
+            print(both(1) + guarded(1) + inner(4) + after_loop(2)
+                  + after_while(9))
+        """)
+        assert {"both", "guarded", "inner"} <= set(low.functions)
+        reasons = dict(low.fallbacks)
+        assert reasons[28] == \
+            "'after_loop': may read 'i' before assigning it (line 31)"
+        assert reasons[33] == \
+            "'after_while': may read 'last' before assigning it (line 37)"
+
     def test_lowering_is_deterministic(self):
         a = self.lowering(ELIGIBILITY)
         clear_program_cache()
@@ -375,6 +433,20 @@ class TestDifferential:
             print(xs[3])
         """)
 
+    def test_an_array_passed_twice_shares_one_buffer(self):
+        kind, out = differential("""
+        def bump(xs [int], ys [int]) int:
+            xs[0] = 5
+            ys[1] = ys[0] + 1
+            return ys[0]
+
+        def main():
+            a = [1, 2]
+            print(bump(a, a))
+            print(a)
+        """)
+        assert (kind, out) == ("ok", "5\n[5, 6]\n")
+
     def test_bool_parameters_and_returns(self):
         differential("""
         def both(a bool, b bool) bool:
@@ -387,15 +459,19 @@ class TestDifferential:
 
     def test_runtime_errors_render_identically(self):
         for snippet in [
-            "print(10 / den)",          # integer division by zero
-            "print(10 % den)",          # integer modulo by zero
-            "print(xs[7])",             # index out of range
+            "10 / den",                 # integer division by zero
+            "10 % den",                 # integer modulo by zero
+            "xs[7]",                    # index out of range
+            "xs[0] + 10 / den",         # the caret is under the division
+            "floor(sqrt(den - 1.5))",   # sqrt of a negative number
+            "floor(2.5 / den)",         # real division by zero
         ]:
             kind, message = differential(f"""
+            def f(den int, xs [int]) int:
+                return {snippet}
+
             def main():
-                den = 0
-                xs = [1, 2, 3]
-                {snippet}
+                print(f(0, [1, 2, 3]))
             """)
             assert kind == "err", message
 
@@ -748,6 +824,118 @@ class TestDeopt:
         assert {"search", "tour_from_pair"} <= set(info["functions"])
         assert info["parallel_loops"] == 1 and info["parallel_calls"] == 1
         assert info["deopts"] == []
+
+
+# ----------------------------------------------------------------------
+# Traps: every runtime error in C is a deopt
+# ----------------------------------------------------------------------
+PARTIAL_WRITE = """
+def poke(xs [int], d int):
+    xs[0] = 99
+    xs[1] = 10 / d
+
+def main():
+    xs = [1, 2, 3]
+    try:
+        poke(xs, 0)
+    catch e:
+        print(e)
+    print(xs[0])
+"""
+
+#: BODY is the return expression of f(xs=[1, 2, 3], d=0).
+TWO_OPERANDS = """
+def f(xs [int], d int) int:
+    return BODY
+
+def main():
+    print(f([1, 2, 3], 0))
+"""
+
+FAILING_LOOP = """
+def main():
+    out = array(8, 0)
+    d = 0
+    try:
+        parallel for i in [0 ... 7]:
+            if i == 1 or i == 6:
+                out[i] = 1 / d
+    catch e:
+        print(e)
+    print(out)
+"""
+
+UNASSIGNED = """
+def f(n int) int:
+    if n > 0:
+        y = 5
+    return y
+
+def main():
+    print(f(3))
+    print(f(0))
+"""
+
+TRAPS = [
+    ("partial_write", PARTIAL_WRITE, 4, "division by zero"),
+    ("first_failing_operand", TWO_OPERANDS.replace("BODY", "xs[9] + 1 / d"),
+     3, "division by zero"),
+    ("caret", TWO_OPERANDS.replace("BODY", "xs[0] + 1 / d"), 3,
+     "division by zero"),
+    ("failing_loop", FAILING_LOOP, 8, "division by zero"),
+]
+
+
+def same_on_both_tiers(text, backend):
+    """The outcome of ``text`` with the tier off, asserted equal to the
+    outcome with it required, on ``backend`` with 2 workers."""
+    off, on = (outcome(text, mode, backend=backend, num_workers=2)
+               for mode in ("off", "require"))
+    assert on == off
+    return off
+
+
+@needs_cc
+@pytest.mark.parametrize("backend", ["sequential", "thread"])
+class TestTraps:
+    def test_writes_before_a_trap_stay_applied(self, backend):
+        assert same_on_both_tiers(PARTIAL_WRITE, backend) == (
+            "integer division by zero\n99\n", 0, None, None)
+
+    def test_the_first_failing_operand_is_reported(self, backend):
+        text = TWO_OPERANDS.replace("BODY", "xs[9] + 1 / d")
+        _out, code, rendered, span = same_on_both_tiers(text, backend)
+        assert code == 1 and span == (3, 12)
+        assert "index 9 is out of range" in rendered
+
+    def test_the_caret_is_under_the_failing_operand(self, backend):
+        text = TWO_OPERANDS.replace("BODY", "xs[0] + 1 / d")
+        _out, code, rendered, span = same_on_both_tiers(text, backend)
+        assert code == 1 and span == (3, 20)
+        assert rendered.endswith("\n  |" + " " * 20 + "^^^^^")
+
+    def test_a_failing_loop_is_not_caught(self, backend):
+        # Two workers fail: the aggregated thread error is not catchable.
+        out, code, rendered, span = same_on_both_tiers(FAILING_LOOP, backend)
+        assert out == "" and code == 1 and span == (6, 9)
+        assert "2 parallel threads failed" in rendered
+
+    @pytest.mark.parametrize("name,text,line,cause", TRAPS,
+                             ids=[t[0] for t in TRAPS])
+    def test_each_trap_deopts_once(self, backend, name, text, line, cause):
+        result = run(text, backend=backend, num_workers=2, metrics=True,
+                     on_error="return")
+        assert result.metrics.native["deopts"] == [[line, cause, 1]]
+
+    def test_a_local_read_before_assignment_stays_on_the_fast_path(
+            self, backend):
+        out, code, rendered, _span = same_on_both_tiers(UNASSIGNED, backend)
+        assert (out, code) == ("5\n", 1)
+        assert "variable 'y' read before any assignment in f" in rendered
+        result = run(UNASSIGNED, backend=backend, metrics=True,
+                     on_error="return")
+        assert result.metrics.native["fallbacks"][0] == \
+            [2, "'f': may read 'y' before assigning it (line 5)"]
 
 
 # ----------------------------------------------------------------------
