@@ -332,29 +332,40 @@ class CodeGenerator:
             )
 
     def _stmt_AugAssign(self, stmt: AugAssign, depth: int) -> None:
-        # Desugar to load-op-store; the double evaluation of the index
-        # expression matches the interpreter exactly.
-        load = self._expr(stmt.target)
+        # Desugar to load-op-store, with the target's base and index bound
+        # to temporaries so each is evaluated once.
+        target = stmt.target
+        if isinstance(target, Name):
+            load = f"v_{target.id}"
+        else:
+            base = self._fresh("base")
+            self._emit(depth, f"{base} = {self._expr(target.base)}")
+            if isinstance(target, Attribute):
+                load = (f"rt.get_attr({base}, {target.attr!r}, "
+                        f"{target.span.line})")
+            else:
+                assert isinstance(target, Index)
+                index = self._fresh("index")
+                self._emit(depth, f"{index} = {self._expr(target.index)}")
+                load = f"rt.index_value({base}, {index}, {target.span.line})"
         combined = self._binop_text(
-            stmt.op, load, getattr(stmt.target, "ty", None),
+            stmt.op, load, getattr(target, "ty", None),
             self._expr(stmt.value), getattr(stmt.value, "ty", None),
             stmt.span.line,
         )
-        if isinstance(stmt.target, Name):
-            self._emit(depth, f"v_{stmt.target.id} = {combined}")
-        elif isinstance(stmt.target, Attribute):
+        if isinstance(target, Name):
+            self._emit(depth, f"{load} = {combined}")
+        elif isinstance(target, Attribute):
             self._emit(
                 depth,
-                f"rt.set_attr({self._expr(stmt.target.base)}, "
-                f"{stmt.target.attr!r}, {combined}, {stmt.span.line})",
+                f"rt.set_attr({base}, {target.attr!r}, {combined}, "
+                f"{stmt.span.line})",
             )
         else:
-            assert isinstance(stmt.target, Index)
-            base = self._expr(stmt.target.base)
-            index = self._expr(stmt.target.index)
             self._emit(
                 depth,
-                f"rt.store_index({base}, {index}, {combined}, {stmt.span.line})",
+                f"rt.store_index({base}, {index}, {combined}, "
+                f"{stmt.span.line})",
             )
 
     def _stmt_Unpack(self, stmt: Unpack, depth: int) -> None:

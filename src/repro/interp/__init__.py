@@ -2,12 +2,12 @@
 :mod:`repro.interp.compile` builds from their checked ASTs."""
 
 from .compile import CompiledProgram, compile_program
-from .context import CallRecord, ThreadContext
-from .control import BreakSignal, ContinueSignal, ControlSignal, ReturnSignal
+from .context import ThreadContext
+from .control import BREAK, CONTINUE, RETURN, Completion
 from .interpreter import Interpreter
 
 __all__ = [
-    "CallRecord", "ThreadContext",
-    "BreakSignal", "ContinueSignal", "ControlSignal", "ReturnSignal",
+    "ThreadContext",
+    "BREAK", "CONTINUE", "RETURN", "Completion",
     "CompiledProgram", "compile_program", "Interpreter",
 ]

@@ -118,12 +118,12 @@ from ..runtime import (
 )
 from ..runtime.values import TetraArray, TetraDict, TetraObject, TetraTuple
 from ..stdlib.registry import BUILTINS
-from .context import CallRecord
-from .control import BreakSignal, ContinueSignal, ReturnSignal
+from .control import BREAK, CONTINUE, RETURN
 
-#: A compiled statement: runs for effect.  A compiled expression takes the
-#: same shape but returns the value.
-StmtRun = Callable[[object], None]
+#: A compiled statement: runs for effect and returns its completion (see
+#: :mod:`repro.interp.control`).  A compiled expression takes the same
+#: shape but returns the value.
+StmtRun = Callable[[object], object]
 ExprRun = Callable[[object], object]
 
 #: Invoker signature: (evaluated args, caller ctx, call-site span) -> value.
@@ -189,6 +189,11 @@ def _missing(node, what: str) -> TetraInternalError:
     )
 
 
+def _stopped() -> TetraThreadError:
+    """What a thread raises when it finds :meth:`Interpreter.stop` called."""
+    return TetraThreadError("the program was stopped")
+
+
 def _unbound_error(ctx, exc: KeyError) -> TetraInternalError:
     """Map a frame-dict KeyError from an inlined variable read onto the
     same diagnostic :meth:`Environment.get` raises."""
@@ -196,6 +201,16 @@ def _unbound_error(ctx, exc: KeyError) -> TetraInternalError:
         f"variable '{exc.args[0]}' read before any assignment in "
         f"{ctx.env.frame.function_name}"
     )
+
+
+def _widening(ty):
+    """The type a stored value must be coerced to — a real or tuple slot —
+    or None where it binds unchanged."""
+    return ty if isinstance(ty, (RealType, TupleType)) else None
+
+
+def _no_note(ctx, key, display, span, pin) -> None:
+    """The race note of a run without a race detector."""
 
 
 #: Leaf literal nodes whose value can be bound into the parent's closure.
@@ -214,6 +229,16 @@ _OPERATOR_FUNCS = {
     BinaryOp.LE: operator.le,
     BinaryOp.GT: operator.gt,
     BinaryOp.GE: operator.ge,
+}
+
+#: The inner operators :meth:`_Compiler._binop_fused` inlines: total
+#: arithmetic, and int ``/`` and ``%`` on their non-negative fast path.
+_INNER_OPS = {
+    BinaryOp.ADD: operator.add,
+    BinaryOp.SUB: operator.sub,
+    BinaryOp.MUL: operator.mul,
+    BinaryOp.DIV: operator.floordiv,
+    BinaryOp.MOD: operator.mod,
 }
 
 
@@ -315,20 +340,20 @@ class _Compiler:
         param_names = sig.param_names
         # coerce_to only acts on real and tuple targets; every other
         # parameter binds without the call.
-        param_coerce = tuple(
-            ty if isinstance(ty, (RealType, TupleType)) else None
-            for ty in sig.param_types
-        )
+        param_coerce = tuple(_widening(ty) for ty in sig.param_types)
         simple_params = not any(param_coerce)
         return_type = sig.return_type
         is_void = return_type is VOID
-        ret_coerce = (not is_void
-                      and isinstance(return_type, (RealType, TupleType)))
+        ret_coerce = not is_void and _widening(return_type) is not None
         acc = self.acc
         charge = self.backend.charge
         call_units = self.cost.call_overhead
 
         def invoke(args, ctx, span):
+            # Lean statements do not poll the stop flag; function entry and
+            # loop back-edges do, so a stop ends loop-free recursion too.
+            if interp._stopped:
+                raise _stopped()
             call_stack = ctx.call_stack
             if len(call_stack) >= recursion_limit:
                 exc = TetraLimitError(
@@ -342,7 +367,8 @@ class _Compiler:
                 if interp.source is not None:
                     exc.attach_source(interp.source)
                 raise exc
-            frame = Frame(name, depth=len(call_stack))
+            # The frame is also the call-stack entry: two objects per call.
+            frame = Frame(name)
             fvars = frame.vars
             if simple_params:
                 for pname, value in zip(param_names, args):
@@ -351,24 +377,23 @@ class _Compiler:
                 for pname, want, value in zip(param_names, param_coerce, args):
                     fvars[pname] = (coerce_to(value, want)
                                     if want is not None else value)
-            env = Environment(frame)
             saved_env = ctx.env
-            ctx.env = env
-            call_stack.append(CallRecord(name, env, call_span=span))
+            ctx.env = Environment(frame)
+            call_stack.append(frame)
             if acc:
                 charge(ctx, call_units)
             try:
-                cell[0](ctx)
-            except ReturnSignal as signal:
-                if is_void:
-                    return None
-                if ret_coerce:
-                    return coerce_to(signal.value, return_type)
-                return signal.value
+                result = cell[0](ctx)
             finally:
                 call_stack.pop()
                 ctx.env = saved_env
-            return None
+            # The body's completion: a returned value, RETURN for a bare
+            # return, or None when control fell off the end.
+            if is_void or result is None:
+                return None
+            if ret_coerce:
+                return coerce_to(result, return_type)
+            return result
 
         obs = self._obs
         if obs is not None and obs.trace:
@@ -395,39 +420,31 @@ class _Compiler:
 
         def run_block(ctx):
             for run in runs:
-                run(ctx)
+                completion = run(ctx)
+                if completion is not None:
+                    return completion
 
         return run_block
 
     def stmt(self, s: Stmt) -> StmtRun:
-        if self.lean:
-            fused = _LEAN_STMT_BUILDERS.get(type(s))
-            if fused is not None:
-                return fused(self, s)
         try:
             builder = _STMT_BUILDERS[type(s)]
         except KeyError:  # pragma: no cover - parser emits no other kinds
             raise TetraInternalError(
                 f"fast path has no compiler for {type(s).__name__}", s.span
             ) from None
-        return self._wrap(s, builder(self, s))
+        core = builder(self, s)
+        return core if self.lean else self._wrap(s, core)
 
     def _wrap(self, s: Stmt, core: StmtRun) -> StmtRun:
-        """Attach the per-statement prologue: stop flag, step budget,
-        guardrail, current span, checkpoint, profile hit and charge."""
+        """Attach the full per-statement prologue: stop flag, step budget,
+        guardrail, current span, checkpoint, profile hit and charge.
+
+        Lean backends run the bare core: nothing on them reads the span,
+        and their loop back-edges and function entries poll the stop flag.
+        """
         interp = self.interp
         span = s.span
-        if self.lean:
-            def run(ctx):
-                if interp._stopped:
-                    raise TetraThreadError("the program was stopped")
-                stack = ctx.call_stack
-                if stack:
-                    stack[-1].current_span = span
-                core(ctx)
-
-            return run
-
         checkpoint = self.backend.checkpoint if self.need_checkpoint else None
         charge = self.backend.charge
         acc = self.acc
@@ -440,7 +457,7 @@ class _Compiler:
 
         def run_full(ctx):
             if interp._stopped:
-                raise TetraThreadError("the program was stopped")
+                raise _stopped()
             if limit and next(steps) > limit:
                 exc = TetraLimitError(
                     f"the program exceeded its budget of {limit} statements "
@@ -463,113 +480,34 @@ class _Compiler:
                 line_hit(ctx.id, line)
             if acc:
                 charge(ctx, units)
-            core(ctx)
+            return core(ctx)
 
         return run_full
 
-    # -- lean fused statements ---------------------------------------------
-    # On lean backends the prologue is two lines of bookkeeping; fusing it
-    # into the hottest statement closures (instead of wrapping them) saves
-    # one Python frame per statement executed.  Python 3.11's frame stack
-    # grows in 16 KiB chunks that are freed as soon as recursion pops back
-    # across them, so deep Tetra recursion pays an allocation for *every*
-    # call whose frames straddle a chunk edge — the fewer frames per Tetra
-    # statement, the fewer calls land on one.
-
-    def _lean_stmt_expr(self, s: ExprStmt) -> StmtRun:
-        interp = self.interp
-        span = s.span
+    # -- simple statements -------------------------------------------------
+    def _stmt_expr(self, s: ExprStmt) -> StmtRun:
         value_fn = self.expr(s.expr)
 
         def run(ctx):
-            if interp._stopped:
-                raise TetraThreadError("the program was stopped")
-            stack = ctx.call_stack
-            if stack:
-                stack[-1].current_span = span
-            value_fn(ctx)  # result discarded
+            value_fn(ctx)  # the value is discarded; the statement completes
 
         return run
-
-    def _lean_stmt_assign(self, s: Assign) -> StmtRun:
-        interp = self.interp
-        span = s.span
-        value_fn = self.expr(s.value)
-        store = self._store(s.target)
-
-        def run(ctx):
-            if interp._stopped:
-                raise TetraThreadError("the program was stopped")
-            stack = ctx.call_stack
-            if stack:
-                stack[-1].current_span = span
-            store(ctx, value_fn(ctx))
-
-        return run
-
-    def _lean_stmt_return(self, s: Return) -> StmtRun:
-        interp = self.interp
-        span = s.span
-        value_fn = self.expr(s.value) if s.value is not None else None
-
-        def run(ctx):
-            if interp._stopped:
-                raise TetraThreadError("the program was stopped")
-            stack = ctx.call_stack
-            if stack:
-                stack[-1].current_span = span
-            raise ReturnSignal(
-                value_fn(ctx) if value_fn is not None else None
-            )
-
-        return run
-
-    def _lean_stmt_if(self, s: If) -> StmtRun:
-        interp = self.interp
-        span = s.span
-        cond = self.expr(s.cond)
-        then = self.block(s.then)
-        elifs = tuple(
-            (self.expr(c.cond), self.block(c.body)) for c in s.elifs
-        )
-        orelse = self.block(s.orelse) if s.orelse is not None else None
-        if not elifs:
-            def run(ctx):
-                if interp._stopped:
-                    raise TetraThreadError("the program was stopped")
-                stack = ctx.call_stack
-                if stack:
-                    stack[-1].current_span = span
-                if cond(ctx):
-                    then(ctx)
-                elif orelse is not None:
-                    orelse(ctx)
-
-            return run
-
-        def run_elifs(ctx):
-            if interp._stopped:
-                raise TetraThreadError("the program was stopped")
-            stack = ctx.call_stack
-            if stack:
-                stack[-1].current_span = span
-            if cond(ctx):
-                then(ctx)
-                return
-            for clause_cond, clause_body in elifs:
-                if clause_cond(ctx):
-                    clause_body(ctx)
-                    return
-            if orelse is not None:
-                orelse(ctx)
-
-        return run_elifs
-
-    # -- simple statements -------------------------------------------------
-    def _stmt_expr(self, s: ExprStmt) -> StmtRun:
-        return self.expr(s.expr)  # result discarded by the wrapper
 
     def _stmt_assign(self, s: Assign) -> StmtRun:
+        name = self._plain_local(s.target)
+        if name is not None:
+            kind, value = self._operand(s.value)
+            if kind == "const":
+                def run_const(ctx):
+                    ctx.env.frame.vars[name] = value
+
+                return run_const
+            value_fn = value if kind is None else self.expr(s.value)
+
+            def run_local(ctx):
+                ctx.env.frame.vars[name] = value_fn(ctx)
+
+            return run_local
         value_fn = self.expr(s.value)
         store = self._store(s.target)
 
@@ -579,15 +517,138 @@ class _Compiler:
         return run
 
     def _stmt_aug_assign(self, s: AugAssign) -> StmtRun:
-        target_fn = self.expr(s.target)
+        target = s.target
+        apply = self._binop_apply(s.op, target.ty, s.value.ty, s.span, s)
+        if self._plain_local(target) is not None:
+            return self._aug_assign_local(s, _OPERATOR_FUNCS.get(s.op, apply))
+        if (not self.acc and isinstance(target, Index)
+                and isinstance(target.base.ty, ArrayType)
+                and self._local_name(target.base) is not None):
+            return self._aug_assign_element(s,
+                                            _OPERATOR_FUNCS.get(s.op, apply))
+        if isinstance(target, (Index, Attribute)) and any(
+                isinstance(n, (Call, MethodCall)) for n in walk(target)):
+            return self._aug_assign_once(s, apply)
+        # A call-free target is evaluated twice, for the load and for the
+        # store; only the accounting backends' bill can tell.
+        target_fn = self.expr(target)
         value_fn = self.expr(s.value)
-        apply = self._binop_apply(s.op, s.target.ty, s.value.ty, s.span, s)
-        store = self._store(s.target)
+        store = self._store(target)
 
         def run(ctx):
             current = target_fn(ctx)
             operand = value_fn(ctx)
             store(ctx, apply(current, operand))
+
+        return run
+
+    def _aug_assign_local(self, s: AugAssign, opfunc) -> StmtRun:
+        """``x op= v`` on a local name: one closure, with a literal or
+        local right-hand side read inline."""
+        name = s.target.id
+        kind, operand = self._operand(s.value)
+        if kind is None:
+            def run(ctx):
+                fvars = ctx.env.frame.vars
+                try:
+                    current = fvars[name]
+                except KeyError as exc:
+                    raise _unbound_error(ctx, exc) from None
+                fvars[name] = opfunc(current, operand(ctx))
+
+            return run
+        if kind == "name":
+            def run_name(ctx):
+                fvars = ctx.env.frame.vars
+                try:
+                    fvars[name] = opfunc(fvars[name], fvars[operand])
+                except KeyError as exc:
+                    raise _unbound_error(ctx, exc) from None
+
+            return run_name
+
+        def run_const(ctx):
+            fvars = ctx.env.frame.vars
+            try:
+                fvars[name] = opfunc(fvars[name], operand)
+            except KeyError as exc:
+                raise _unbound_error(ctx, exc) from None
+
+        return run_const
+
+    def _aug_assign_element(self, s: AugAssign, opfunc) -> StmtRun:
+        """``xs[i] op= v`` on a local array: the element is located and
+        bounds-tested once; an out-of-range index gets
+        :meth:`TetraArray.get`'s diagnostic."""
+        target = s.target
+        name = target.base.id
+        span = target.span
+        index_fn = self.expr(target.index)
+        value_fn = self.expr(s.value)
+        widen = _widening(target.base.ty.element) is not None
+
+        def run(ctx):
+            try:
+                base = ctx.env.frame.vars[name]
+            except KeyError as exc:
+                raise _unbound_error(ctx, exc) from None
+            index = index_fn(ctx)
+            items = base.items
+            if not 0 <= index < len(items):
+                base.get(index, span)  # raises the out-of-range error
+            value = opfunc(items[index], value_fn(ctx))
+            items[index] = (coerce_to(value, base.element_type) if widen
+                            else value)
+
+        return run
+
+    def _aug_assign_once(self, s: AugAssign, apply) -> StmtRun:
+        """``t[k] op= v`` or ``o.f op= v`` whose target contains a call: the
+        target's base and index are evaluated once, and the element's load
+        and store share them, each with its charge and race note."""
+        target = s.target
+        base_fn = self.expr(target.base)
+        if isinstance(target, Attribute):
+            attr = target.attr
+            key_fn = lambda ctx: attr  # noqa: E731
+        else:
+            key_fn = self.expr(target.index)
+        value_fn = self.expr(s.value)
+        span = target.span
+        is_field = isinstance(target, Attribute)
+        prefix = unparse(target.base)
+        err = self.interp._err
+        acc = self.acc
+        charge = self.backend.charge
+        load_units = self.cost.index_load
+        store_units = self.cost.index_store
+        read = write = _no_note
+        if self.race is not None:
+            read, write = self._race_note(False), self._race_note(True)
+
+        def run(ctx):
+            base = base_fn(ctx)
+            key = key_fn(ctx)
+            if acc:
+                charge(ctx, load_units)
+            if is_field:
+                if not isinstance(base, TetraObject):
+                    raise err(TetraRuntimeError,
+                              "only class instances have fields", span)
+                display = f"{base.class_name}.{key}"
+            else:
+                display = f"{prefix}[{key!r}]"
+            read(ctx, (id(base), key), display, span, base)
+            value = apply(base.get(key, span), value_fn(ctx))
+            if acc:
+                charge(ctx, store_units)
+            write(ctx, (id(base), key), display, span, base)
+            if isinstance(base, TetraDict):
+                base.set(key, coerce_to(value, base.value_type))
+            elif is_field:
+                base.set(key, value, span)
+            else:
+                base.set(key, coerce_to(value, base.element_type), span)
 
         return run
 
@@ -619,33 +680,19 @@ class _Compiler:
 
     def _stmt_return(self, s: Return) -> StmtRun:
         if s.value is None:
-            def run(ctx):
-                raise ReturnSignal(None)
-        else:
-            value_fn = self.expr(s.value)
-
-            def run(ctx):
-                raise ReturnSignal(value_fn(ctx))
-
-        return run
+            return lambda ctx: RETURN
+        # No Tetra value is None, so the value closure is its own
+        # completion.
+        return self.expr(s.value)
 
     def _stmt_break(self, s: Break) -> StmtRun:
-        def run(ctx):
-            raise BreakSignal()
-
-        return run
+        return lambda ctx: BREAK
 
     def _stmt_continue(self, s: Continue) -> StmtRun:
-        def run(ctx):
-            raise ContinueSignal()
-
-        return run
+        return lambda ctx: CONTINUE
 
     def _stmt_pass(self, s: Pass) -> StmtRun:
-        def run(ctx):
-            pass
-
-        return run
+        return lambda ctx: None
 
     def _stmt_try(self, s: TryStmt) -> StmtRun:
         body = self.block(s.body)
@@ -654,16 +701,18 @@ class _Compiler:
 
         def run(ctx):
             try:
-                body(ctx)
+                return body(ctx)
             except TetraRuntimeError as exc:
                 if not is_catchable(exc):
                     raise
                 ctx.env.set(error_name, exc.message)
-                handler(ctx)
+                return handler(ctx)
 
         return run
 
     # -- control flow ------------------------------------------------------
+    # A loop consumes BREAK and CONTINUE and passes any other completion
+    # (a return) up; every loop polls the stop flag at its back-edge.
     def _stmt_if(self, s: If) -> StmtRun:
         cond = self.expr(s.cond)
         then = self.block(s.then)
@@ -672,6 +721,20 @@ class _Compiler:
         )
         orelse = self.block(s.orelse) if s.orelse is not None else None
         acc = self.acc
+        if not acc and not elifs:
+            if orelse is None:
+                def run_then(ctx):
+                    if cond(ctx):
+                        return then(ctx)
+
+                return run_then
+
+            def run_else(ctx):
+                if cond(ctx):
+                    return then(ctx)
+                return orelse(ctx)
+
+            return run_else
         charge = self.backend.charge
         units = self.cost.branch
 
@@ -679,96 +742,77 @@ class _Compiler:
             if acc:
                 charge(ctx, units)
             if cond(ctx):
-                then(ctx)
-                return
+                return then(ctx)
             for clause_cond, clause_body in elifs:
                 if clause_cond(ctx):
-                    clause_body(ctx)
-                    return
+                    return clause_body(ctx)
             if orelse is not None:
-                orelse(ctx)
+                return orelse(ctx)
 
         return run_general
 
     def _stmt_while(self, s: While) -> StmtRun:
+        interp = self.interp
         cond = self.expr(s.cond)
         body = self.block(s.body)
-        if self.lean:
-            def run(ctx):
-                while True:
-                    if not cond(ctx):
-                        break
-                    try:
-                        body(ctx)
-                    except BreakSignal:
-                        break
-                    except ContinueSignal:
-                        continue
-
-            return run
-
         acc = self.acc
         charge = self.backend.charge
         units = self.cost.loop_iteration
 
-        def run_acc(ctx):
+        def run(ctx):
             while True:
                 if acc:
                     charge(ctx, units)
                 if not cond(ctx):
-                    break
-                try:
-                    body(ctx)
-                except BreakSignal:
-                    break
-                except ContinueSignal:
-                    continue
+                    return None
+                if interp._stopped:
+                    raise _stopped()
+                completion = body(ctx)
+                if completion is not None:
+                    if completion is BREAK:
+                        return None
+                    if completion is not CONTINUE:
+                        return completion
 
-        return run_acc
+        return run
 
     def _stmt_for(self, s: For) -> StmtRun:
+        interp = self.interp
         iterable_fn = self.expr(s.iterable)
         body = self.block(s.body)
         var = s.var
         span = s.span
-        iterate = self.interp._iterate
+        iterate = interp._iterate
         private = var in self._induction
         acc = self.acc
         charge = self.backend.charge
         units = self.cost.loop_iteration
 
-        if not acc and not private:
-            def run(ctx):
-                items = iterate(iterable_fn(ctx), span)
-                fvars = ctx.env.frame.vars
-                for item in items:
-                    fvars[var] = item
-                    try:
-                        body(ctx)
-                    except BreakSignal:
-                        break
-                    except ContinueSignal:
-                        continue
-
-            return run
-
-        def run_general(ctx):
+        def run(ctx):
             items = iterate(iterable_fn(ctx), span)
             env = ctx.env
+            fvars = env.frame.vars
             for item in items:
                 if acc:
                     charge(ctx, units)
-                env.set(var, item)
-                try:
-                    body(ctx)
-                except BreakSignal:
-                    break
-                except ContinueSignal:
-                    continue
+                if interp._stopped:
+                    raise _stopped()
+                if private:
+                    env.set(var, item)
+                else:
+                    fvars[var] = item
+                completion = body(ctx)
+                if completion is not None:
+                    if completion is BREAK:
+                        return None
+                    if completion is not CONTINUE:
+                        return completion
 
-        return run_general
+        return run
 
     # -- parallel constructs -----------------------------------------------
+    # A spawned thread's statements cannot return, break or continue out
+    # of it (the checker forbids it), so their completions are dropped.
     def _spawn_block(self, s, join: bool, kind: str) -> StmtRun:
         children = tuple(
             (self.stmt(child), child.span.line)
@@ -845,6 +889,8 @@ class _Compiler:
                     for item in chunk:
                         if acc:
                             charge(c, units)
+                        if interp._stopped:
+                            raise _stopped()
                         private[var] = item
                         body(c)
 
@@ -864,7 +910,14 @@ class _Compiler:
             return self._race_lock(name, body, span)
 
         def run(ctx):
-            lock(ctx, name, lambda: body(ctx), span)
+            completion = None
+
+            def held():
+                nonlocal completion
+                completion = body(ctx)
+
+            lock(ctx, name, held, span)
+            return completion
 
         return run
 
@@ -880,7 +933,7 @@ class _Compiler:
             ty = target.ty
             if ty is None:
                 raise _missing(target, f"assignment target '{name}'")
-            widen = ty if isinstance(ty, (RealType, TupleType)) else None
+            widen = _widening(ty)
             if self.race is not None:
                 return self._race_store_name(target, widen)
             units = self.cost.name_store
@@ -929,6 +982,9 @@ class _Compiler:
         if isinstance(target, Index):
             if self.race is not None:
                 return self._race_store_index(target)
+            if (not acc and isinstance(target.base.ty, ArrayType)
+                    and self._local_name(target.base) is not None):
+                return self._array_store(target)
             base_fn = self.expr(target.base)
             index_fn = self.expr(target.index)
             span = target.span
@@ -956,6 +1012,48 @@ class _Compiler:
         raise TetraInternalError(
             f"bad assignment target {type(target).__name__}"
         )
+
+    def _local_name(self, e: Expr) -> str | None:
+        """The id of a name whose reads and writes may go straight to the
+        frame dict: provably shared, with no race hook to feed."""
+        if (type(e) is Name and self.race is None
+                and e.id not in self._induction):
+            return e.id
+        return None
+
+    def _plain_local(self, target: Expr) -> str | None:
+        """The id of an assignment target a lean backend stores straight
+        into the frame: a local name whose type needs no widening."""
+        name = self._local_name(target)
+        if name is None or self.acc:
+            return None
+        if target.ty is None:
+            raise _missing(target, f"assignment target '{name}'")
+        return name if _widening(target.ty) is None else None
+
+    def _array_store(self, target: Index):
+        """``xs[i] = v`` on a local array: the bounds test runs inline, and
+        an out-of-range index gets :meth:`TetraArray.set`'s diagnostic."""
+        name = target.base.id
+        span = target.span
+        index_fn = self.expr(target.index)
+        widen = _widening(target.base.ty.element) is not None
+
+        def store(ctx, value):
+            try:
+                base = ctx.env.frame.vars[name]
+            except KeyError as exc:
+                raise _unbound_error(ctx, exc) from None
+            index = index_fn(ctx)
+            if widen:
+                value = coerce_to(value, base.element_type)
+            items = base.items
+            if 0 <= index < len(items):
+                items[index] = value
+            else:
+                base.set(index, value, span)
+
+        return store
 
     # ------------------------------------------------------------------
     # Expressions
@@ -1067,10 +1165,7 @@ class _Compiler:
         if not isinstance(ty, TupleType):
             raise _missing(e, "a tuple literal")
         elem_fns = tuple(self.expr(x) for x in e.elements)
-        widen = tuple(
-            t if isinstance(t, (RealType, TupleType)) else None
-            for t in ty.elements
-        )
+        widen = tuple(_widening(t) for t in ty.elements)
         simple = not any(widen)
         acc = self.acc
         charge = self.backend.charge
@@ -1132,12 +1227,15 @@ class _Compiler:
         if self.race is not None and isinstance(e.base.ty,
                                                 (ArrayType, DictType)):
             return self._race_index(e)
+        base_ty = e.base.ty
+        acc = self.acc
+        if (not acc and isinstance(base_ty, ArrayType)
+                and self._local_name(e.base) is not None):
+            return self._array_load(e)
         interp = self.interp
         base_fn = self.expr(e.base)
         index_fn = self.expr(e.index)
         span = e.span
-        base_ty = e.base.ty
-        acc = self.acc
         charge = self.backend.charge
         units = self.cost.index_load
 
@@ -1176,6 +1274,41 @@ class _Compiler:
             return run_str
 
         raise _missing(e.base, "an indexed expression")
+
+    def _array_load(self, e: Index) -> ExprRun:
+        """``xs[i]`` on a local array: the bounds test runs inline, and an
+        out-of-range index gets :meth:`TetraArray.get`'s diagnostic."""
+        name = e.base.id
+        span = e.span
+        kind, index = self._operand(e.index)
+        if kind == "name":
+            def run_name(ctx):
+                fvars = ctx.env.frame.vars
+                try:
+                    base = fvars[name]
+                    i = fvars[index]
+                except KeyError as exc:
+                    raise _unbound_error(ctx, exc) from None
+                items = base.items
+                if 0 <= i < len(items):
+                    return items[i]
+                return base.get(i, span)
+
+            return run_name
+        index_fn = index if kind is None else self.expr(e.index)
+
+        def run(ctx):
+            try:
+                base = ctx.env.frame.vars[name]
+            except KeyError as exc:
+                raise _unbound_error(ctx, exc) from None
+            i = index_fn(ctx)
+            items = base.items
+            if 0 <= i < len(items):
+                return items[i]
+            return base.get(i, span)
+
+        return run
 
     def _expr_attribute(self, e: Attribute) -> ExprRun:
         if self.race is not None:
@@ -1293,10 +1426,7 @@ class _Compiler:
         # The type/order tables are immutable; every instance shares them.
         field_types = dict(zip(info.field_names, info.field_types))
         field_order = list(info.field_names)
-        widen = tuple(
-            ty if isinstance(ty, (RealType, TupleType)) else None
-            for ty in info.field_types
-        )
+        widen = tuple(_widening(ty) for ty in info.field_types)
         acc = self.acc
         charge = self.backend.charge
         units = (self.cost.call_overhead
@@ -1357,12 +1487,14 @@ class _Compiler:
         accounting needs the per-node closures, so only lean/thread
         backends inline; race detection needs every shared read to go
         through its hook, so names stay closures under it)."""
+        return self._leaf(e) or (None, self.expr(e))
+
+    def _leaf(self, e: Expr):
+        """``_operand``'s inlinable kinds, or None, without compiling."""
         if isinstance(e, _LITERAL_NODES):
             return "const", e.value
-        if (type(e) is Name and self.race is None
-                and e.id not in self._induction):
-            return "name", e.id
-        return None, self.expr(e)
+        name = self._local_name(e)
+        return ("name", name) if name is not None else None
 
     def _expr_binop(self, e: BinOp) -> ExprRun:
         op = e.op
@@ -1394,6 +1526,9 @@ class _Compiler:
             return run_or
 
         if not acc:
+            fused = self._binop_fused(e)
+            if fused is not None:
+                return fused
             lk, lv = self._operand(e.left)
             rk, rv = self._operand(e.right)
             if lk is not None or rk is not None:
@@ -1507,6 +1642,64 @@ class _Compiler:
             return lambda ctx: opfunc(lv, rv(ctx))
         return lambda ctx: opfunc(lv(ctx), rv)
 
+    def _binop_fused(self, e: BinOp) -> ExprRun | None:
+        """A total operator with one literal/local operand and, as the
+        other, an arithmetic binop of two literals/locals — ``i * n + k``,
+        ``d * d <= n``, ``n % d == 0`` — as one closure, or None for any
+        other shape.  Operands are read in source order, and an int ``/``
+        or ``%`` takes :func:`_binop_apply`'s fast path inline."""
+        outer = _OPERATOR_FUNCS.get(e.op)
+        if outer is None:
+            return None
+        for inner, other in ((e.left, e.right), (e.right, e.left)):
+            if type(inner) is not BinOp or inner.op not in _INNER_OPS:
+                continue
+            leaves = (self._leaf(inner.left), self._leaf(inner.right),
+                      self._leaf(other))
+            if None not in leaves:
+                break
+        else:
+            return None
+        checked = inner.op in (BinaryOp.DIV, BinaryOp.MOD)
+        if checked and not (isinstance(inner.left.ty, IntType)
+                            and isinstance(inner.right.ty, IntType)):
+            return None
+        iop = _INNER_OPS[inner.op]
+        slow = int_div if inner.op is BinaryOp.DIV else int_mod
+        span = inner.span
+        (ak, a), (bk, b), (ck, c) = leaves
+        an, bn, cn = (v if k == "name" else None
+                      for k, v in ((ak, a), (bk, b), (ck, c)))
+
+        if inner is e.left:
+            def run(ctx):
+                fvars = ctx.env.frame.vars
+                try:
+                    x = fvars[an] if an is not None else a
+                    y = fvars[bn] if bn is not None else b
+                    z = fvars[cn] if cn is not None else c
+                except KeyError as exc:
+                    raise _unbound_error(ctx, exc) from None
+                if checked and not (x >= 0 and y > 0):
+                    return outer(slow(x, y, span), z)
+                return outer(iop(x, y), z)
+
+            return run
+
+        def run_right(ctx):
+            fvars = ctx.env.frame.vars
+            try:
+                z = fvars[cn] if cn is not None else c
+                x = fvars[an] if an is not None else a
+                y = fvars[bn] if bn is not None else b
+            except KeyError as exc:
+                raise _unbound_error(ctx, exc) from None
+            if checked and not (x >= 0 and y > 0):
+                return outer(z, slow(x, y, span))
+            return outer(z, iop(x, y))
+
+        return run_right
+
     def _binop_apply(self, op: BinaryOp, left_ty, right_ty, span, node):
         """A two-argument applier with the operator (and, for division and
         modulo, the int/real variant) chosen from the static types."""
@@ -1535,12 +1728,16 @@ class _Compiler:
                 raise _missing(node, f"an operand of '{op.value}'")
             both_int = (isinstance(left_ty, IntType)
                         and isinstance(right_ty, IntType))
+            # Int division and remainder truncate toward zero, which is
+            # Python's floor rounding whenever neither operand is negative.
             if op is BinaryOp.DIV:
                 if both_int:
-                    return lambda a, b: int_div(a, b, span)
+                    return lambda a, b: (a // b if a >= 0 and b > 0
+                                         else int_div(a, b, span))
                 return lambda a, b: real_div(float(a), float(b), span)
             if both_int:
-                return lambda a, b: int_mod(a, b, span)
+                return lambda a, b: (a % b if a >= 0 and b > 0
+                                     else int_mod(a, b, span))
             return lambda a, b: real_mod(float(a), float(b), span)
         raise TetraInternalError(
             f"unhandled operator {op}"
@@ -1709,16 +1906,20 @@ class _Compiler:
         release = self.race.release
 
         def run(ctx):
+            completion = None
+
             def held():
+                nonlocal completion
                 # The detector's lockset tracks the dynamic extent of the
                 # body, which the backend runs strictly inside the lock.
                 acquire(ctx.id, name)
                 try:
-                    body(ctx)
+                    completion = body(ctx)
                 finally:
                     release(ctx.id, name)
 
             lock(ctx, name, held, span)
+            return completion
 
         return run
 
@@ -1741,15 +1942,6 @@ _STMT_BUILDERS = {
     Break: _Compiler._stmt_break,
     Continue: _Compiler._stmt_continue,
     Pass: _Compiler._stmt_pass,
-}
-
-#: Statements with a prologue-fused variant for lean backends; every other
-#: statement kind goes through the generic ``_wrap`` prologue.
-_LEAN_STMT_BUILDERS = {
-    ExprStmt: _Compiler._lean_stmt_expr,
-    Assign: _Compiler._lean_stmt_assign,
-    Return: _Compiler._lean_stmt_return,
-    If: _Compiler._lean_stmt_if,
 }
 
 _EXPR_BUILDERS = {

@@ -3,7 +3,8 @@
 Each Tetra thread — the main thread, every ``parallel`` child, every
 ``parallel for`` worker — owns one :class:`ThreadContext`: its identity (the
 key in lock wait-for graphs), its current environment, and its Tetra-level
-call stack (what the debugger shows as a backtrace).
+call stack, one :class:`~repro.runtime.env.Frame` per active call (what the
+debugger shows as a backtrace).
 
 Context ids are process-global and monotonically increasing, so the
 deterministic coop scheduler's "pick the lowest ready id" tie-break follows
@@ -13,23 +14,10 @@ spawn order.
 from __future__ import annotations
 
 import itertools
-import threading
-from dataclasses import dataclass, field
 
-from ..source import NO_SPAN, Span
-from ..runtime.env import Environment
+from ..runtime.env import Environment, Frame
 
 _ids = itertools.count(1)
-
-
-@dataclass
-class CallRecord:
-    """One Tetra-level stack frame (for backtraces and recursion limits)."""
-
-    function_name: str
-    env: Environment
-    call_span: Span = NO_SPAN
-    current_span: Span = NO_SPAN
 
 
 class ThreadContext:
@@ -38,11 +26,11 @@ class ThreadContext:
     __slots__ = ("id", "label", "env", "call_stack", "os_thread_ident")
 
     def __init__(self, label: str, env: Environment | None = None,
-                 call_stack: list[CallRecord] | None = None):
+                 call_stack: list[Frame] | None = None):
         self.id = next(_ids)
         self.label = label
         self.env = env
-        self.call_stack: list[CallRecord] = call_stack if call_stack is not None else []
+        self.call_stack: list[Frame] = call_stack if call_stack is not None else []
         self.os_thread_ident: int | None = None
 
     def spawn_child(self, label: str, env: Environment) -> "ThreadContext":

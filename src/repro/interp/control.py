@@ -1,32 +1,34 @@
-"""Non-local control flow signals used inside the interpreter.
+"""Completion values: how ``return``, ``break`` and ``continue`` leave the
+nested statement closures.
 
-``return`` / ``break`` / ``continue`` are implemented as exceptions that
-unwind the nested statement closures — the standard technique for
-tree-walking interpreters (and what the paper's C++ interpreter does with
-its recursive ``interpret`` calls).  They are internal: the type checker guarantees they
-can never escape a function body or loop, and they deliberately do *not*
-derive from :class:`~repro.errors.TetraError` so error handling cannot
-swallow them by accident.
+A compiled statement returns its completion instead of raising: ``None``
+to fall through to the next statement, :data:`BREAK` or :data:`CONTINUE`
+for the innermost loop, and anything else for a ``return`` — the returned
+value itself, or :data:`RETURN` for a bare ``return``.  No Tetra value is
+``None`` (only a void call yields it, and the checker rejects returning
+one), so a returned value is never taken for a fall-through.  Blocks pass
+a completion up, loops consume ``BREAK`` and ``CONTINUE``, and a
+function's invoker turns the rest into its result.  The checker
+guarantees that none escapes a function body or a loop: ``return`` is
+rejected inside a spawned thread, and ``break``/``continue`` cannot cross
+into a ``parallel for``.
 """
 
 from __future__ import annotations
 
-from ..runtime.values import Value
+
+class Completion:
+    """A completion sentinel (never a Tetra value)."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        self.name = name
+
+    def __repr__(self) -> str:
+        return self.name
 
 
-class ControlSignal(Exception):
-    """Base class for interpreter control flow (never user-visible)."""
-
-
-class ReturnSignal(ControlSignal):
-    def __init__(self, value: Value | None):
-        super().__init__()
-        self.value = value
-
-
-class BreakSignal(ControlSignal):
-    pass
-
-
-class ContinueSignal(ControlSignal):
-    pass
+BREAK = Completion("BREAK")
+CONTINUE = Completion("CONTINUE")
+RETURN = Completion("RETURN")

@@ -3,7 +3,8 @@
 The paper (§IV): "Because of the way threads are created dynamically, they
 have private and shared symbol tables."  Concretely:
 
-* Each function activation owns a :class:`Frame` — a flat name→value table.
+* Each function activation owns a :class:`Frame` — a flat name→value table,
+  which is also the activation's entry on its thread's call stack.
 * Threads spawned by ``parallel`` / ``background`` blocks *share* the
   spawning activation's frame, which is how Figure II's two parallel
   assignments to ``a`` and ``b`` are visible after the join.
@@ -21,22 +22,26 @@ from __future__ import annotations
 from typing import Iterator
 
 from ..errors import TetraInternalError
+from ..source import NO_SPAN
 from .values import Value
 
 
 class Frame:
-    """One function activation's variables (the shared symbol table)."""
+    """One function activation: its variables (the shared symbol table)
+    and, as an entry of a thread's call stack, the statement it is at."""
 
-    __slots__ = ("function_name", "vars", "depth", "shared")
+    __slots__ = ("function_name", "vars", "shared", "current_span")
 
-    def __init__(self, function_name: str, depth: int = 0):
+    def __init__(self, function_name: str):
         self.function_name = function_name
         self.vars: dict[str, Value] = {}
-        self.depth = depth
         #: Set (by the race detector) once a parallel construct hands this
         #: frame to child threads; accesses to a never-shared frame cannot
         #: race and are not worth recording.
         self.shared = False
+        #: The statement being run, kept by the full statement prologue
+        #: (coop and sim) for the debugger's backtraces.
+        self.current_span = NO_SPAN
 
     def __repr__(self) -> str:
         return f"Frame({self.function_name}, {sorted(self.vars)})"

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, Iterator
 
-from ..errors import TetraIndexError, TetraZeroDivisionError
+from ..errors import TetraIndexError, TetraRuntimeError, TetraZeroDivisionError
 from ..source import NO_SPAN, Span
 from ..types import (
     BOOL,
@@ -262,8 +262,6 @@ def _int_text(value: int) -> str:
                 return str(value)
             except ValueError:
                 pass
-        from ..errors import TetraRuntimeError
-
         raise TetraRuntimeError(
             f"this integer is too large to print (more than "
             f"{MAX_PRINT_DIGITS} digits); it is still usable in arithmetic"
@@ -332,14 +330,26 @@ def real_mod(a: float, b: float, span: Span = NO_SPAN) -> float:
 
 
 def tetra_pow(a: Value, b: Value, span: Span = NO_SPAN) -> Value:
-    """``**``: int ** non-negative int stays int; anything else is real."""
+    """``**``: int ** non-negative int stays int; anything else is real.
+
+    A real power follows the math builtins' error policy: a zero base with
+    a negative exponent divides by zero, a negative base with a fractional
+    exponent is outside the domain, and a result beyond the largest real
+    overflows."""
     if isinstance(a, int) and isinstance(b, int) and not isinstance(a, bool) and not isinstance(b, bool):
         if b >= 0:
             return a ** b
-        if a == 0:
-            raise TetraZeroDivisionError("0 raised to a negative power", span)
-        return float(a) ** b
-    return float(a) ** float(b)
+    if a == 0 and b < 0:
+        raise TetraZeroDivisionError("0 raised to a negative power", span)
+    try:
+        result = float(a) ** float(b)
+    except OverflowError:
+        raise TetraRuntimeError("'**' overflowed", span) from None
+    if isinstance(result, complex):
+        raise TetraRuntimeError(
+            f"'**' is not defined for {float(a)} and {float(b)}", span
+        )
+    return result
 
 
 _REAL_TYPE = type(REAL)

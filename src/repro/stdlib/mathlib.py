@@ -45,21 +45,19 @@ builtin("atan2", [REAL, REAL], REAL,
         category="math")(_checked(math.atan2, "atan2"))
 
 
-@builtin("floor", [REAL], INT, doc="floor(x) — largest int <= x", category="math")
-def _floor(args, io, span):
-    return math.floor(args[0])
-
-
-@builtin("ceil", [REAL], INT, doc="ceil(x) — smallest int >= x", category="math")
-def _ceil(args, io, span):
-    return math.ceil(args[0])
-
-
-@builtin("round", [REAL], INT,
-         doc="round(x) — nearest int (ties away from zero)", category="math")
-def _round(args, io, span):
-    x = args[0]
+def _round_half_away(x):
     return math.floor(x + 0.5) if x >= 0 else math.ceil(x - 0.5)
+
+
+# Real-to-int conversions: inf overflows and NaN is outside the domain,
+# through the same policy as the transcendentals.
+builtin("floor", [REAL], INT, doc="floor(x) — largest int <= x",
+        category="math")(_checked(math.floor, "floor"))
+builtin("ceil", [REAL], INT, doc="ceil(x) — smallest int >= x",
+        category="math")(_checked(math.ceil, "ceil"))
+builtin("round", [REAL], INT,
+        doc="round(x) — nearest int (ties away from zero)",
+        category="math")(_checked(_round_half_away, "round"))
 
 
 def _numeric_unary(name: str):

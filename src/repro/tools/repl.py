@@ -29,8 +29,7 @@ from ..source import SourceFile
 from ..tetra_ast import Program
 from ..types import VOID, FunctionSignature, LocalScope, ProgramSymbols
 from ..types.check import TypeChecker
-from ..interp import Interpreter, ReturnSignal, ThreadContext
-from ..interp.control import BreakSignal, ContinueSignal
+from ..interp import BREAK, CONTINUE, Interpreter, ThreadContext
 from ..runtime import Frame, RuntimeConfig, ThreadBackend
 from ..runtime.env import Environment
 from ..runtime.values import display
@@ -196,14 +195,11 @@ class ReplSession:
         self._check(check_all, source)
         compiled = self.interpreter.compiled
         for stmt in statements:
-            try:
-                compiled.compile(stmt)(self.ctx)
-            except ReturnSignal:
-                raise TetraError("'return' outside a function") from None
-            except (BreakSignal, ContinueSignal):
-                raise TetraError(
-                    "'break'/'continue' outside a loop"
-                ) from None
+            completion = compiled.compile(stmt)(self.ctx)
+            if completion is BREAK or completion is CONTINUE:
+                raise TetraError("'break'/'continue' outside a loop")
+            if completion is not None:
+                raise TetraError("'return' outside a function")
 
     # ------------------------------------------------------------------
     # Introspection

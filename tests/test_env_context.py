@@ -5,7 +5,7 @@ the machinery behind the paper's 'private and shared symbol tables' (§IV).
 import pytest
 
 from repro.errors import TetraInternalError
-from repro.interp.context import CallRecord, ThreadContext
+from repro.interp.context import ThreadContext
 from repro.runtime.env import Environment, Frame
 
 
@@ -76,19 +76,18 @@ class TestThreadContext:
         frame = Frame("main")
         env = Environment(frame)
         parent = ThreadContext("parent", env)
-        parent.call_stack.append(CallRecord("main", env))
+        parent.call_stack.append(frame)
         child = parent.spawn_child("child", env)
         assert child.call_stack == parent.call_stack
         assert child.call_stack is not parent.call_stack
-        child.call_stack.append(CallRecord("helper", env))
+        child.call_stack.append(Frame("helper"))
         assert parent.depth == 1
         assert child.depth == 2
 
     def test_current_function(self):
         ctx = ThreadContext("t")
         assert ctx.current_function == "<toplevel>"
-        env = Environment(Frame("work"))
-        ctx.call_stack.append(CallRecord("work", env))
+        ctx.call_stack.append(Frame("work"))
         assert ctx.current_function == "work"
 
     def test_repr_mentions_label(self):
