@@ -417,6 +417,16 @@ class _Compiler:
         runs = tuple(self.stmt(s) for s in body.statements)
         if len(runs) == 1:
             return runs[0]
+        if len(runs) == 2:
+            first, second = runs
+
+            def run_pair(ctx):
+                completion = first(ctx)
+                if completion is not None:
+                    return completion
+                return second(ctx)
+
+            return run_pair
 
         def run_block(ctx):
             for run in runs:
@@ -1394,6 +1404,13 @@ class _Compiler:
         acc = self.acc
         charge = self.backend.charge
         units = self.cost.builtin_overhead
+
+        if (e.func == "len" and not acc
+                and isinstance(e.args[0].ty, ArrayType)):
+            # The loop-bound idiom, `while i < len(xs)`, without the
+            # builtin's calling convention.
+            arg0 = arg_fns[0]
+            return lambda ctx: len(arg0(ctx).items)
 
         if e.func == "clock":
             # clock() reports the backend's clock (virtual under sim/coop);

@@ -691,6 +691,27 @@ class TestDeopt:
         assert result.aborted_by == "time"
         assert time.perf_counter() - started < 0.5 + 2.5
 
+    @pytest.mark.parametrize("func", ["floor", "ceil", "round"])
+    @pytest.mark.parametrize("value, message", [
+        ("big", "overflowed"), ("big - big", "is not defined for nan"),
+    ])
+    def test_a_non_finite_real_to_int_is_the_math_error(self, func, value,
+                                                         message):
+        text = f"""
+        def conv(x real) int:
+            return {func}(x)
+
+        def main():
+            big = 1.0e308 * 10.0
+            print(conv(2.5))
+            print(conv({value}))
+        """
+        off, on = (outcome(text, mode) for mode in ("off", "require"))
+        assert on == off
+        assert off[1] == 1 and f"{func}() {message}" in off[2]
+        result = run(text, metrics=True, on_error="return")
+        assert result.metrics.native["deopts"] == [[3, "overflow", 1]]
+
     def test_negative_array_length_gives_the_fast_path_diagnostic(self):
         text = """
         def make(n int) int:
