@@ -39,9 +39,11 @@ FIB_TETRA = textwrap.dedent(f"""
 """)
 
 #: The fast path may trail the Tetra→Python compiler at most this much on
-#: fib.  Five runs on a 2-vCPU VM measured 64.5-70.3x; 95 keeps the
-#: headroom the old walker floor had (2.52x measured over 1.8x).
-MAX_FAST_OVER_COMPILED = 95
+#: fib.  Five runs on a 2-vCPU VM measured 26.0-28.6x (completion values
+#: instead of a return exception, two objects per call, no per-statement
+#: prologue); 39 keeps the x1.36 headroom the previous bound had (95 over
+#: about 70x measured).
+MAX_FAST_OVER_COMPILED = 39
 
 
 def fib_python(n: int) -> int:

@@ -18,13 +18,20 @@ time bound into the closure:
   (see :mod:`repro.runtime.env`).  Every other function-local name is
   proven to live in the shared frame, so its reads and writes go straight
   to ``frame.vars`` and skip the private-table probe.
-* **Backend specialization.**  Backends that neither schedule per
-  statement (``checkpoint``) nor account costs (``charge``) get a *lean*
-  statement prologue: a stop-flag test and the span bookkeeping that keeps
-  backtraces and error carets exact.  The coop scheduler and the
-  virtual-time simulator get the full prologue — stop flag, step budget,
-  guardrail, span, checkpoint, profile hit, statement charge — so
+* **Backend specialization.**  On *lean* backends — those that neither
+  schedule per statement (``checkpoint``) nor account costs (``charge``)
+  — a statement compiles to its bare core: nothing there reads a
+  statement span, and the stop flag is polled at loop back-edges and on
+  function entry instead.  Their hottest shapes fuse into single
+  closures: ``x op= v`` on a local, an element load or store on a local
+  array (with the bounds test inline), and a total operator over one
+  inner binop (``i * n + k``, ``n % d == 0``).  The coop scheduler and
+  the virtual-time simulator get the full prologue — stop flag, step
+  budget, guardrail, span, checkpoint, profile hit, statement charge — so
   stepping, step budgets, and simulated makespans follow every statement.
+* **Completion values.**  A statement returns ``None``, ``BREAK``,
+  ``CONTINUE`` or a returned value instead of raising (see
+  :mod:`repro.interp.control`), so ``return`` costs no exception.
 * **Race detection, compiled in.**  With ``detect_races`` on, every shared
   access site — a name load or store, an array/dict element load or store,
   a field load or store — compiles with a hook that feeds the
@@ -34,8 +41,8 @@ time bound into the closure:
   detection off no closure carries a hook or a test for one.
 
 Spans ride along in every closure that can raise, so diagnostics render
-the same caret on every backend; per-statement checkpoints keep the
-debugger's independent stepping working.  ``tests/test_exec_golden.py``
+the same caret on every backend; per-statement checkpoints and span
+stores keep the debugger's independent stepping and backtraces working.  ``tests/test_exec_golden.py``
 pins what every bundled program does on the deterministic backends, with
 detection off and on.
 """
