@@ -2,7 +2,7 @@
 
 The :mod:`repro.obs` layer follows the race detector's contract — a
 disabled observer is ``None`` and every hook site pays one ``None`` test;
-on the compiled fast path the lean prologue does not even pay that (the
+on the compiled fast path the lean statements do not even pay that (the
 hooks are bound, or not, at compile time).  This benchmark pins the
 contract down on fib(18):
 

@@ -22,13 +22,14 @@ time bound into the closure:
   schedule per statement (``checkpoint``) nor account costs (``charge``)
   — a statement compiles to its bare core: nothing there reads a
   statement span, and the stop flag is polled at loop back-edges and on
-  function entry instead.  Their hottest shapes fuse into single
-  closures: ``x op= v`` on a local, an element load or store on a local
-  array (with the bounds test inline), and a total operator over one
-  inner binop (``i * n + k``, ``n % d == 0``).  The coop scheduler and
-  the virtual-time simulator get the full prologue — stop flag, step
-  budget, guardrail, span, checkpoint, profile hit, statement charge — so
-  stepping, step budgets, and simulated makespans follow every statement.
+  function entry instead.  Without cost accounting the hottest shapes
+  fuse into single closures: ``x op= v`` on a local, an element load or
+  store on a local array (with the bounds test inline), and a total
+  operator over one inner binop (``i * n + k``, ``n % d == 0``).  The
+  coop scheduler and the virtual-time simulator get the full prologue —
+  stop flag, step budget, guardrail, span, checkpoint, profile hit,
+  statement charge — so stepping, step budgets, and simulated makespans
+  follow every statement.
 * **Completion values.**  A statement returns ``None``, ``BREAK``,
   ``CONTINUE`` or a returned value instead of raising (see
   :mod:`repro.interp.control`), so ``return`` costs no exception.
@@ -42,9 +43,9 @@ time bound into the closure:
 
 Spans ride along in every closure that can raise, so diagnostics render
 the same caret on every backend; per-statement checkpoints and span
-stores keep the debugger's independent stepping and backtraces working.  ``tests/test_exec_golden.py``
-pins what every bundled program does on the deterministic backends, with
-detection off and on.
+stores keep the debugger's independent stepping and backtraces working.
+``tests/test_exec_golden.py`` pins what every bundled program does on the
+deterministic backends, with detection off and on.
 """
 
 from __future__ import annotations

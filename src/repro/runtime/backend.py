@@ -254,7 +254,7 @@ class Backend:
         """True when :meth:`checkpoint` must be called for every statement.
 
         The compiled fast path skips the call entirely when this is False
-        (the lean prologue).  Backends whose checkpoint only matters in
+        (the lean path, whose statements run bare).  Backends whose checkpoint only matters in
         some configurations — the thread backend records turns only under
         a schedule recorder — override this instead of relying on the
         method-override test, so plain runs stay lean."""

@@ -511,7 +511,7 @@ class TestDisabledOverhead:
         assert result.backend.obs is None
 
     def test_lean_fast_path_survives_tracing_off(self):
-        """The compiler stays on the lean prologue when observability is
+        """The compiler stays on the lean path when observability is
         off (the <2% fib regression budget depends on this)."""
         from repro.api import compile_source
         from repro.interp import Interpreter
