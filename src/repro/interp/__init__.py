@@ -3,11 +3,11 @@
 
 from .compile import CompiledProgram, compile_program
 from .context import ThreadContext
-from .control import BREAK, CONTINUE, RETURN, Completion
+from .control import BREAK, CONTINUE, RETURN
 from .interpreter import Interpreter
 
 __all__ = [
     "ThreadContext",
-    "BREAK", "CONTINUE", "RETURN", "Completion",
+    "BREAK", "CONTINUE", "RETURN",
     "CompiledProgram", "compile_program", "Interpreter",
 ]
