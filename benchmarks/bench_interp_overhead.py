@@ -39,11 +39,11 @@ FIB_TETRA = textwrap.dedent(f"""
 """)
 
 #: The fast path may trail the Tetra→Python compiler at most this much on
-#: fib.  Five runs on a 2-vCPU VM measured 26.0-28.6x (completion values
-#: instead of a return exception, two objects per call, no per-statement
-#: prologue); 39 keeps the x1.36 headroom the previous bound had (95 over
-#: about 70x measured).
-MAX_FAST_OVER_COMPILED = 39
+#: fib.  Ten runs on a 2-vCPU VM, alternating with the previous fast path
+#: (closure trees, 25.1-29.7x), measured 17.6-23.5x with function bodies
+#: run as generated Python functions; 32 is 23.5 times the x1.36 headroom
+#: the previous bound had (39 over 28.6x measured).
+MAX_FAST_OVER_COMPILED = 32
 
 
 def fib_python(n: int) -> int:

@@ -671,6 +671,13 @@ class _Emitter:
         if name in ("floor", "ceil", "round"):
             code, _ = self.expr(e.args[0])
             return f"tt_{name}(ctx, (double)({code}), {line})", INT
+        if name == "int":
+            code, ty = self.expr(e.args[0])
+            if isinstance(ty, IntType):
+                return code, INT
+            if isinstance(ty, RealType):  # the cast truncates toward zero
+                return f"tt_f2i(ctx, {code}, {line})", INT
+            raise _Ineligible("int() of a bool")
         if name == "abs":
             code, ty = self.expr(e.args[0])
             if not ty.is_numeric:

@@ -22,10 +22,12 @@ time bound into the closure:
   schedule per statement (``checkpoint``) nor account costs (``charge``)
   — a statement compiles to its bare core: nothing there reads a
   statement span, and the stop flag is polled at loop back-edges and on
-  function entry instead.  Without cost accounting the hottest shapes
-  fuse into single closures: ``x op= v`` on a local, an element load or
-  store on a local array (with the bounds test inline), and a total
-  operator over one inner binop (``i * n + k``, ``n % d == 0``).  The
+  function entry instead.  Without cost accounting or race detection,
+  assignments, ``op=``, binops and element loads on a local array compile
+  to generated Python functions (:mod:`repro.interp.generate`) with their
+  operands inlined, and a lean compile goes further: each block becomes
+  one generated function that calls closures only for what its
+  vocabulary leaves out.  The
   coop scheduler and the virtual-time simulator get the full prologue —
   stop flag, step budget, guardrail, span, checkpoint, profile hit,
   statement charge — so stepping, step budgets, and simulated makespans
@@ -57,7 +59,6 @@ from ..errors import (
     TetraInternalError,
     TetraLimitError,
     TetraRuntimeError,
-    TetraThreadError,
     is_catchable,
 )
 from ..tetra_ast import (
@@ -100,6 +101,7 @@ from ..tetra_ast import (
     While,
     unparse,
     walk,
+    walk_statements,
 )
 from ..types import (
     INT,
@@ -117,8 +119,6 @@ from ..runtime import (
     Environment,
     Frame,
     coerce_to,
-    int_div,
-    int_mod,
     make_array,
     real_div,
     real_mod,
@@ -127,6 +127,12 @@ from ..runtime import (
 from ..runtime.values import TetraArray, TetraDict, TetraObject, TetraTuple
 from ..stdlib.registry import BUILTINS
 from .control import BREAK, CONTINUE, RETURN
+from .generate import (
+    checked_applier,
+    generate_block,
+    generate_expr,
+    generate_stmt,
+)
 
 #: A compiled statement: runs for effect and returns its completion (see
 #: :mod:`repro.interp.control`).  A compiled expression takes the same
@@ -147,13 +153,16 @@ class CompiledProgram:
     return coercion — so call sites just evaluate arguments and jump.
     """
 
-    __slots__ = ("interp", "functions", "methods")
+    __slots__ = ("interp", "functions", "methods", "lean")
 
     def __init__(self, interp, functions: dict[str, Invoker],
-                 methods: dict[tuple[str, str], Invoker]):
+                 methods: dict[tuple[str, str], Invoker], lean: bool):
         self.interp = interp
         self.functions = functions
         self.methods = methods
+        #: True when statements run without the per-statement prologue, so
+        #: the run's guard must be folded into the stop flag.
+        self.lean = lean
 
     def compile(self, node: Block | Stmt | Expr, private=()):
         """Compile a fragment that lives outside the program's functions —
@@ -185,7 +194,8 @@ def compile_program(interp) -> CompiledProgram:
 def parallel_for_vars(node) -> frozenset[str]:
     """The induction variables of every ``parallel for`` in ``node``: the
     only names that can be thread-private inside it."""
-    return frozenset(n.var for n in walk(node) if isinstance(n, ParallelFor))
+    return frozenset(n.var for n in (node, *walk_statements(node))
+                     if isinstance(n, ParallelFor))
 
 
 def _missing(node, what: str) -> TetraInternalError:
@@ -194,20 +204,6 @@ def _missing(node, what: str) -> TetraInternalError:
         f"the checker left {what} untyped at {node.span} — "
         "was this program type-checked?",
         node.span,
-    )
-
-
-def _stopped() -> TetraThreadError:
-    """What a thread raises when it finds :meth:`Interpreter.stop` called."""
-    return TetraThreadError("the program was stopped")
-
-
-def _unbound_error(ctx, exc: KeyError) -> TetraInternalError:
-    """Map a frame-dict KeyError from an inlined variable read onto the
-    same diagnostic :meth:`Environment.get` raises."""
-    return TetraInternalError(
-        f"variable '{exc.args[0]}' read before any assignment in "
-        f"{ctx.env.frame.function_name}"
     )
 
 
@@ -239,17 +235,6 @@ _OPERATOR_FUNCS = {
     BinaryOp.GE: operator.ge,
 }
 
-#: The inner operators :meth:`_Compiler._binop_fused` inlines: total
-#: arithmetic, and int ``/`` and ``%`` on their non-negative fast path.
-_INNER_OPS = {
-    BinaryOp.ADD: operator.add,
-    BinaryOp.SUB: operator.sub,
-    BinaryOp.MUL: operator.mul,
-    BinaryOp.DIV: operator.floordiv,
-    BinaryOp.MOD: operator.mod,
-}
-
-
 class _Compiler:
     """Compiles one program for one :class:`Interpreter` instance.
 
@@ -280,10 +265,13 @@ class _Compiler:
         #: Per-line profile hook; bound once so run_full pays a None test.
         self._line_hit = (obs.line_hit
                           if obs is not None and obs.profile else None)
-        #: Guardrail check (cancel token / time limit / chaos preemption),
-        #: bound once; None in the common unguarded case.  The heap meter
-        #: is checked at allocation sites, so it does not force the full
-        #: statement prologue.
+        #: Guardrail check (cancel token / time limit / chaos preemption)
+        #: for the full statement prologue, bound once; None in the common
+        #: unguarded case.  Only chaos preemption and a virtual-clock
+        #: deadline need it per statement: on a lean compile the guard
+        #: folds the token and the host-clock deadline into the stop flag
+        #: (``ExecutionGuard.watch``).  The heap meter is checked at
+        #: allocation sites, so it does not force the prologue either.
         guard = interp._guard
         self._guard_check = guard.check if guard is not None else None
         self._heap = interp._heap
@@ -292,7 +280,14 @@ class _Compiler:
         self.race = interp._race
         self.lean = not (self.acc or self.limit or self.need_checkpoint
                          or self._line_hit is not None
-                         or self._guard_check is not None)
+                         or (guard is not None and guard.per_statement))
+        #: Without cost accounting or race hooks, assignments, ``op=``,
+        #: binops and local element loads compile to generated functions
+        #: (:mod:`repro.interp.generate`): one module owns their int ``/``
+        #: and ``%`` fast path, inline bounds test and operand order.
+        self.inline = not self.acc and self.race is None
+        #: Lean blocks without race hooks run as generated functions too.
+        self.generate = self.lean and self.inline
         self._invokers: dict[str, Invoker] = {}
         self._method_invokers: dict[tuple[str, str], Invoker] = {}
         #: Names that *can* be thread-private in the function currently
@@ -339,7 +334,7 @@ class _Compiler:
             self._induction = parallel_for_vars(fn.body)
             cell[0] = self.block(fn.body)
         return CompiledProgram(self.interp, self._invokers,
-                               self._method_invokers)
+                               self._method_invokers, self.lean)
 
     def _make_invoker(self, sig, cell: list) -> Invoker:
         interp = self.interp
@@ -361,7 +356,7 @@ class _Compiler:
             # Lean statements do not poll the stop flag; function entry and
             # loop back-edges do, so a stop ends loop-free recursion too.
             if interp._stopped:
-                raise _stopped()
+                raise interp._stop_error(span)
             call_stack = ctx.call_stack
             if len(call_stack) >= recursion_limit:
                 exc = TetraLimitError(
@@ -422,6 +417,10 @@ class _Compiler:
     # Statements
     # ------------------------------------------------------------------
     def block(self, body: Block) -> StmtRun:
+        if self.generate:
+            run = generate_block(self, body)
+            if run is not None:
+                return run
         runs = tuple(self.stmt(s) for s in body.statements)
         if len(runs) == 1:
             return runs[0]
@@ -475,7 +474,7 @@ class _Compiler:
 
         def run_full(ctx):
             if interp._stopped:
-                raise _stopped()
+                raise interp._stop_error(span)
             if limit and next(steps) > limit:
                 exc = TetraLimitError(
                     f"the program exceeded its budget of {limit} statements "
@@ -512,20 +511,10 @@ class _Compiler:
         return run
 
     def _stmt_assign(self, s: Assign) -> StmtRun:
-        name = self._plain_local(s.target)
-        if name is not None:
-            kind, value = self._operand(s.value)
-            if kind == "const":
-                def run_const(ctx):
-                    ctx.env.frame.vars[name] = value
-
-                return run_const
-            value_fn = value if kind is None else self.expr(s.value)
-
-            def run_local(ctx):
-                ctx.env.frame.vars[name] = value_fn(ctx)
-
-            return run_local
+        if self.inline:
+            run = generate_stmt(self, s)
+            if run is not None:
+                return run
         value_fn = self.expr(s.value)
         store = self._store(s.target)
 
@@ -535,15 +524,12 @@ class _Compiler:
         return run
 
     def _stmt_aug_assign(self, s: AugAssign) -> StmtRun:
+        if self.inline:
+            run = generate_stmt(self, s)
+            if run is not None:
+                return run
         target = s.target
         apply = self._binop_apply(s.op, target.ty, s.value.ty, s.span, s)
-        if self._plain_local(target) is not None:
-            return self._aug_assign_local(s, _OPERATOR_FUNCS.get(s.op, apply))
-        if (not self.acc and isinstance(target, Index)
-                and isinstance(target.base.ty, ArrayType)
-                and self._local_name(target.base) is not None):
-            return self._aug_assign_element(s,
-                                            _OPERATOR_FUNCS.get(s.op, apply))
         if isinstance(target, (Index, Attribute)) and any(
                 isinstance(n, (Call, MethodCall)) for n in walk(target)):
             return self._aug_assign_once(s, apply)
@@ -557,66 +543,6 @@ class _Compiler:
             current = target_fn(ctx)
             operand = value_fn(ctx)
             store(ctx, apply(current, operand))
-
-        return run
-
-    def _aug_assign_local(self, s: AugAssign, opfunc) -> StmtRun:
-        """``x op= v`` on a local name: one closure, with a literal or
-        local right-hand side read inline."""
-        name = s.target.id
-        kind, operand = self._operand(s.value)
-        if kind is None:
-            def run(ctx):
-                fvars = ctx.env.frame.vars
-                try:
-                    current = fvars[name]
-                except KeyError as exc:
-                    raise _unbound_error(ctx, exc) from None
-                fvars[name] = opfunc(current, operand(ctx))
-
-            return run
-        if kind == "name":
-            def run_name(ctx):
-                fvars = ctx.env.frame.vars
-                try:
-                    fvars[name] = opfunc(fvars[name], fvars[operand])
-                except KeyError as exc:
-                    raise _unbound_error(ctx, exc) from None
-
-            return run_name
-
-        def run_const(ctx):
-            fvars = ctx.env.frame.vars
-            try:
-                fvars[name] = opfunc(fvars[name], operand)
-            except KeyError as exc:
-                raise _unbound_error(ctx, exc) from None
-
-        return run_const
-
-    def _aug_assign_element(self, s: AugAssign, opfunc) -> StmtRun:
-        """``xs[i] op= v`` on a local array: the element is located and
-        bounds-tested once; an out-of-range index gets
-        :meth:`TetraArray.get`'s diagnostic."""
-        target = s.target
-        name = target.base.id
-        span = target.span
-        index_fn = self.expr(target.index)
-        value_fn = self.expr(s.value)
-        widen = _widening(target.base.ty.element) is not None
-
-        def run(ctx):
-            try:
-                base = ctx.env.frame.vars[name]
-            except KeyError as exc:
-                raise _unbound_error(ctx, exc) from None
-            index = index_fn(ctx)
-            items = base.items
-            if not 0 <= index < len(items):
-                base.get(index, span)  # raises the out-of-range error
-            value = opfunc(items[index], value_fn(ctx))
-            items[index] = (coerce_to(value, base.element_type) if widen
-                            else value)
 
         return run
 
@@ -771,6 +697,7 @@ class _Compiler:
 
     def _stmt_while(self, s: While) -> StmtRun:
         interp = self.interp
+        span = s.span
         cond = self.expr(s.cond)
         body = self.block(s.body)
         acc = self.acc
@@ -784,7 +711,7 @@ class _Compiler:
                 if not cond(ctx):
                     return None
                 if interp._stopped:
-                    raise _stopped()
+                    raise interp._stop_error(span)
                 completion = body(ctx)
                 if completion is not None:
                     if completion is BREAK:
@@ -814,7 +741,7 @@ class _Compiler:
                 if acc:
                     charge(ctx, units)
                 if interp._stopped:
-                    raise _stopped()
+                    raise interp._stop_error(span)
                 if private:
                     env.set(var, item)
                 else:
@@ -908,7 +835,7 @@ class _Compiler:
                         if acc:
                             charge(c, units)
                         if interp._stopped:
-                            raise _stopped()
+                            raise interp._stop_error(span)
                         private[var] = item
                         body(c)
 
@@ -1000,9 +927,6 @@ class _Compiler:
         if isinstance(target, Index):
             if self.race is not None:
                 return self._race_store_index(target)
-            if (not acc and isinstance(target.base.ty, ArrayType)
-                    and self._local_name(target.base) is not None):
-                return self._array_store(target)
             base_fn = self.expr(target.base)
             index_fn = self.expr(target.index)
             span = target.span
@@ -1048,30 +972,6 @@ class _Compiler:
         if target.ty is None:
             raise _missing(target, f"assignment target '{name}'")
         return name if _widening(target.ty) is None else None
-
-    def _array_store(self, target: Index):
-        """``xs[i] = v`` on a local array: the bounds test runs inline, and
-        an out-of-range index gets :meth:`TetraArray.set`'s diagnostic."""
-        name = target.base.id
-        span = target.span
-        index_fn = self.expr(target.index)
-        widen = _widening(target.base.ty.element) is not None
-
-        def store(ctx, value):
-            try:
-                base = ctx.env.frame.vars[name]
-            except KeyError as exc:
-                raise _unbound_error(ctx, exc) from None
-            index = index_fn(ctx)
-            if widen:
-                value = coerce_to(value, base.element_type)
-            items = base.items
-            if 0 <= index < len(items):
-                items[index] = value
-            else:
-                base.set(index, value, span)
-
-        return store
 
     # ------------------------------------------------------------------
     # Expressions
@@ -1247,9 +1147,11 @@ class _Compiler:
             return self._race_index(e)
         base_ty = e.base.ty
         acc = self.acc
-        if (not acc and isinstance(base_ty, ArrayType)
+        if (self.inline and isinstance(base_ty, ArrayType)
                 and self._local_name(e.base) is not None):
-            return self._array_load(e)
+            run = generate_expr(self, e)
+            if run is not None:
+                return run
         interp = self.interp
         base_fn = self.expr(e.base)
         index_fn = self.expr(e.index)
@@ -1292,41 +1194,6 @@ class _Compiler:
             return run_str
 
         raise _missing(e.base, "an indexed expression")
-
-    def _array_load(self, e: Index) -> ExprRun:
-        """``xs[i]`` on a local array: the bounds test runs inline, and an
-        out-of-range index gets :meth:`TetraArray.get`'s diagnostic."""
-        name = e.base.id
-        span = e.span
-        kind, index = self._operand(e.index)
-        if kind == "name":
-            def run_name(ctx):
-                fvars = ctx.env.frame.vars
-                try:
-                    base = fvars[name]
-                    i = fvars[index]
-                except KeyError as exc:
-                    raise _unbound_error(ctx, exc) from None
-                items = base.items
-                if 0 <= i < len(items):
-                    return items[i]
-                return base.get(i, span)
-
-            return run_name
-        index_fn = index if kind is None else self.expr(e.index)
-
-        def run(ctx):
-            try:
-                base = ctx.env.frame.vars[name]
-            except KeyError as exc:
-                raise _unbound_error(ctx, exc) from None
-            i = index_fn(ctx)
-            items = base.items
-            if 0 <= i < len(items):
-                return items[i]
-            return base.get(i, span)
-
-        return run
 
     def _expr_attribute(self, e: Attribute) -> ExprRun:
         if self.race is not None:
@@ -1505,23 +1372,17 @@ class _Compiler:
         return run
 
     def _operand(self, e: Expr):
-        """Classify an operand for inlining: ``("const", value)`` for a
-        literal, ``("name", id)`` for a provably-shared local, or
-        ``(None, closure)`` when it must stay a compiled sub-expression.
-        Inlined operands cost zero Python frames at runtime (cost
-        accounting needs the per-node closures, so only lean/thread
-        backends inline; race detection needs every shared read to go
-        through its hook, so names stay closures under it)."""
-        return self._leaf(e) or (None, self.expr(e))
-
-    def _leaf(self, e: Expr):
-        """``_operand``'s inlinable kinds, or None, without compiling."""
+        """``("const", value)`` for a literal, whose value the parent's
+        closure binds in, or ``(None, closure)``."""
         if isinstance(e, _LITERAL_NODES):
             return "const", e.value
-        name = self._local_name(e)
-        return ("name", name) if name is not None else None
+        return None, self.expr(e)
 
     def _expr_binop(self, e: BinOp) -> ExprRun:
+        if self.inline:
+            run = generate_expr(self, e)
+            if run is not None:
+                return run
         op = e.op
         acc = self.acc
         charge = self.backend.charge
@@ -1551,9 +1412,6 @@ class _Compiler:
             return run_or
 
         if not acc:
-            fused = self._binop_fused(e)
-            if fused is not None:
-                return fused
             lk, lv = self._operand(e.left)
             rk, rv = self._operand(e.right)
             if lk is not None or rk is not None:
@@ -1595,135 +1453,21 @@ class _Compiler:
         return run_acc
 
     def _binop_inlined(self, e: BinOp, lk, lv, rk, rv) -> ExprRun:
-        """A binop closure with at least one literal/local operand bound in.
-
-        ``n - 1`` compiles to a single closure that reads the frame dict and
-        subtracts — no operand frames at all.  Frame-dict KeyErrors map onto
-        the unbound-variable internal error with :meth:`Environment.get`'s
-        wording; evaluation stays left-to-right so a program with *two*
-        unbound operands reports the left one.
-        """
+        """A binop closure with a literal operand bound in: ``n - 1`` costs
+        one closure, and a total operator over two literals folds."""
         op = e.op
         opfunc = _OPERATOR_FUNCS.get(op)
         total = opfunc is not None  # total ⇒ cannot raise ⇒ foldable
         if opfunc is None:
             opfunc = self._binop_apply(op, e.left.ty, e.right.ty, e.span, e)
-
         if lk == "const" and rk == "const":
             if total:
                 value = opfunc(lv, rv)  # fold: 1 + 2 is 3 at compile time
                 return lambda ctx: value
             return lambda ctx: opfunc(lv, rv)  # 1 / 0 must raise at runtime
-
-        if lk == "name":
-            if rk == "name":
-                def run_nn(ctx):
-                    v = ctx.env.frame.vars
-                    try:
-                        return opfunc(v[lv], v[rv])
-                    except KeyError as exc:
-                        raise _unbound_error(ctx, exc) from None
-
-                return run_nn
-            if rk == "const":
-                def run_nc(ctx):
-                    try:
-                        return opfunc(ctx.env.frame.vars[lv], rv)
-                    except KeyError as exc:
-                        raise _unbound_error(ctx, exc) from None
-
-                return run_nc
-
-            def run_nf(ctx):
-                try:
-                    left = ctx.env.frame.vars[lv]
-                except KeyError as exc:
-                    raise _unbound_error(ctx, exc) from None
-                return opfunc(left, rv(ctx))
-
-            return run_nf
-
-        if rk == "name":
-            if lk == "const":
-                def run_cn(ctx):
-                    try:
-                        return opfunc(lv, ctx.env.frame.vars[rv])
-                    except KeyError as exc:
-                        raise _unbound_error(ctx, exc) from None
-
-                return run_cn
-
-            def run_fn(ctx):
-                left = lv(ctx)
-                try:
-                    right = ctx.env.frame.vars[rv]
-                except KeyError as exc:
-                    raise _unbound_error(ctx, exc) from None
-                return opfunc(left, right)
-
-            return run_fn
-
         if lk == "const":
             return lambda ctx: opfunc(lv, rv(ctx))
         return lambda ctx: opfunc(lv(ctx), rv)
-
-    def _binop_fused(self, e: BinOp) -> ExprRun | None:
-        """A total operator with one literal/local operand and, as the
-        other, an arithmetic binop of two literals/locals — ``i * n + k``,
-        ``d * d <= n``, ``n % d == 0`` — as one closure, or None for any
-        other shape.  Operands are read in source order, and an int ``/``
-        or ``%`` takes :func:`_binop_apply`'s fast path inline."""
-        outer = _OPERATOR_FUNCS.get(e.op)
-        if outer is None:
-            return None
-        for inner, other in ((e.left, e.right), (e.right, e.left)):
-            if type(inner) is not BinOp or inner.op not in _INNER_OPS:
-                continue
-            leaves = (self._leaf(inner.left), self._leaf(inner.right),
-                      self._leaf(other))
-            if None not in leaves:
-                break
-        else:
-            return None
-        checked = inner.op in (BinaryOp.DIV, BinaryOp.MOD)
-        if checked and not (isinstance(inner.left.ty, IntType)
-                            and isinstance(inner.right.ty, IntType)):
-            return None
-        iop = _INNER_OPS[inner.op]
-        slow = int_div if inner.op is BinaryOp.DIV else int_mod
-        span = inner.span
-        (ak, a), (bk, b), (ck, c) = leaves
-        an, bn, cn = (v if k == "name" else None
-                      for k, v in ((ak, a), (bk, b), (ck, c)))
-
-        if inner is e.left:
-            def run(ctx):
-                fvars = ctx.env.frame.vars
-                try:
-                    x = fvars[an] if an is not None else a
-                    y = fvars[bn] if bn is not None else b
-                    z = fvars[cn] if cn is not None else c
-                except KeyError as exc:
-                    raise _unbound_error(ctx, exc) from None
-                if checked and not (x >= 0 and y > 0):
-                    return outer(slow(x, y, span), z)
-                return outer(iop(x, y), z)
-
-            return run
-
-        def run_right(ctx):
-            fvars = ctx.env.frame.vars
-            try:
-                z = fvars[cn] if cn is not None else c
-                x = fvars[an] if an is not None else a
-                y = fvars[bn] if bn is not None else b
-            except KeyError as exc:
-                raise _unbound_error(ctx, exc) from None
-            if checked and not (x >= 0 and y > 0):
-                return outer(z, slow(x, y, span))
-            return outer(z, iop(x, y))
-
-        return run_right
 
     def _binop_apply(self, op: BinaryOp, left_ty, right_ty, span, node):
         """A two-argument applier with the operator (and, for division and
@@ -1753,16 +1497,11 @@ class _Compiler:
                 raise _missing(node, f"an operand of '{op.value}'")
             both_int = (isinstance(left_ty, IntType)
                         and isinstance(right_ty, IntType))
-            # Int division and remainder truncate toward zero, which is
-            # Python's floor rounding whenever neither operand is negative.
-            if op is BinaryOp.DIV:
-                if both_int:
-                    return lambda a, b: (a // b if a >= 0 and b > 0
-                                         else int_div(a, b, span))
-                return lambda a, b: real_div(float(a), float(b), span)
             if both_int:
-                return lambda a, b: (a % b if a >= 0 and b > 0
-                                     else int_mod(a, b, span))
+                # Truncating toward zero; the rule generated code inlines.
+                return checked_applier(op, span)
+            if op is BinaryOp.DIV:
+                return lambda a, b: real_div(float(a), float(b), span)
             return lambda a, b: real_mod(float(a), float(b), span)
         raise TetraInternalError(
             f"unhandled operator {op}"

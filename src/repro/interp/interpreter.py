@@ -24,7 +24,12 @@ from __future__ import annotations
 import itertools
 import threading
 
-from ..errors import TetraInternalError, TetraRuntimeError
+from ..errors import (
+    TetraError,
+    TetraInternalError,
+    TetraRuntimeError,
+    TetraThreadError,
+)
 from ..source import NO_SPAN, SourceFile, Span
 from ..tetra_ast import Program
 from ..types import check_program
@@ -61,7 +66,11 @@ class Interpreter:
         self.symbols = program.symbols  # type: ignore[attr-defined]
         self._functions = {fn.name: fn for fn in program.functions}
         self._steps = itertools.count(1)
+        #: The stop flag polled at loop back-edges and function entries.
         self._stopped = False
+        #: Set with ``_stopped`` when the guard's watch tripped it, so the
+        #: polling thread raises the guard's error, not the stop error.
+        self._tripped = False
         # Thread labels are the identity a schedule artifact (and the race
         # detector's reports) refers to; the counter disambiguates re-spawns
         # from the same source site (a loop around a parallel block) with a
@@ -159,8 +168,11 @@ class Interpreter:
         ctx = ThreadContext(self._unique_label("main thread"))
         if self._race is not None:
             self._race.register(ctx.id, ctx.label)
+        disarm = None
         if self._guard is not None:
             self._guard.start()
+            if self.compiled.lean:
+                disarm = self._guard.watch(self._trip)
         self.backend.start_program(ctx)
         if self._obs is not None:
             self._obs.program_begin(ctx)
@@ -172,8 +184,12 @@ class Interpreter:
             raise
         finally:
             try:
+                # Background threads are joined here and still poll the
+                # stop flag, so the watch stays armed until they are done.
                 self.backend.finish_program(ctx)
             finally:
+                if disarm is not None:
+                    disarm()
                 if self._obs is not None:
                     self._obs.program_end_mark(ctx)
 
@@ -193,6 +209,18 @@ class Interpreter:
             # Route through the CancelToken too, so threads parked on locks
             # (which never reach the _stopped check) unwind as well.
             token.cancel("the program was stopped")
+
+    def _trip(self) -> None:
+        """The guard's watch fired: stop every thread with its error."""
+        if not self._stopped:
+            self._tripped = True
+            self._stopped = True
+
+    def _stop_error(self, span: Span) -> TetraError:
+        """What a thread raises when it finds the stop flag set at ``span``."""
+        if self._tripped:
+            return self._guard.error(span)
+        return TetraThreadError("the program was stopped")
 
     @property
     def races(self):

@@ -2,8 +2,10 @@
 
 A :class:`CancelToken` is shared between whoever wants to stop a run (a
 SIGINT handler, an IDE stop button, a watchdog thread, a test) and the
-interpreter, which observes it at every statement boundary through the
-:class:`~repro.resilience.guard.ExecutionGuard`.  Cancellation is therefore
+interpreter, which observes it through the
+:class:`~repro.resilience.guard.ExecutionGuard`: at every statement
+boundary of a full-prologue run, or, on a lean run, through a listener
+that sets the stop flag its loop back-edges poll.  Cancellation is therefore
 *clean*: every Tetra thread unwinds through the normal error path, parallel
 blocks join their children, backends run their ``finish_program`` hooks,
 and partial output/traces/metrics survive the abort.
@@ -23,12 +25,13 @@ class CancelToken:
     diagnostics stay stable when several sources race to stop the program.
     """
 
-    __slots__ = ("_event", "_mu", "reason")
+    __slots__ = ("_event", "_mu", "reason", "_listeners")
 
     def __init__(self) -> None:
         self._event = threading.Event()
         self._mu = threading.Lock()
         self.reason: str | None = None
+        self._listeners: list = []
 
     def cancel(self, reason: str = "cancelled") -> None:
         """Ask every thread of the run to stop at its next statement."""
@@ -36,6 +39,21 @@ class CancelToken:
             if self.reason is None:
                 self.reason = reason
         self._event.set()
+        for listener in tuple(self._listeners):
+            listener()
+
+    def add_listener(self, listener) -> None:
+        """Call ``listener()`` on cancellation (at once if already
+        cancelled; it may be called twice, so it must be idempotent)."""
+        self._listeners.append(listener)
+        if self._event.is_set():
+            listener()
+
+    def remove_listener(self, listener) -> None:
+        try:
+            self._listeners.remove(listener)
+        except ValueError:
+            pass
 
     @property
     def cancelled(self) -> bool:

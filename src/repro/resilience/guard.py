@@ -1,11 +1,14 @@
-"""Execution guardrails checked at the statement boundary.
+"""Execution guardrails: time limits, cancellation, chaos, memory.
 
-The interpreter already owns a per-statement hook chain (stop flag, step
-budget, backend checkpoint, profiler).  :class:`ExecutionGuard` slots into
-it with the run-wide limits that need a *clock* or a *token*: wall-clock
-``time_limit`` (the backend's own clock, so sim/coop budgets are virtual
-units and fully deterministic), the cooperative :class:`CancelToken`, and
-thread-backend preemption jitter from a :class:`FaultPlan`.
+The interpreter's full statement prologue owns a per-statement hook chain
+(stop flag, step budget, backend checkpoint, profiler).
+:class:`ExecutionGuard` slots into it with the run-wide limits that need a
+*clock* or a *token*: wall-clock ``time_limit`` (the backend's own clock,
+so sim/coop budgets are virtual units and fully deterministic), the
+cooperative :class:`CancelToken`, and thread-backend preemption jitter
+from a :class:`FaultPlan`.  A lean run has no prologue; there the guard
+folds the token and a host-clock deadline into the stop flag that loop
+back-edges and function entries poll (:meth:`ExecutionGuard.watch`).
 
 The value-heap ``memory_limit`` lives in :class:`HeapMeter`, checked at
 container *allocation* sites instead of per statement — live cells are
@@ -90,8 +93,15 @@ class HeapMeter:
 
 
 class ExecutionGuard:
-    """Per-run guard bound into the statement prologue when any of
-    ``time_limit`` / ``cancel`` / thread-backend chaos is configured."""
+    """Per-run guard, armed when any of ``time_limit`` / ``cancel`` /
+    thread-backend chaos is configured.
+
+    The full statement prologue calls :meth:`check`.  A lean run has no
+    prologue: :meth:`watch` folds the token and a host-clock deadline into
+    the interpreter's stop flag, which loop back-edges and function
+    entries poll, and the polling thread raises :meth:`error`.  Only chaos
+    preemption and a virtual-clock deadline need the per-statement check
+    (:attr:`per_statement`)."""
 
     __slots__ = ("token", "time_limit", "virtual", "_now", "_deadline",
                  "_preempt")
@@ -120,30 +130,64 @@ class ExecutionGuard:
         return (self.token is not None or bool(self.time_limit)
                 or self._preempt is not None)
 
+    @property
+    def per_statement(self) -> bool:
+        """True when the guard must be checked at every statement."""
+        return self._preempt is not None or (self.virtual
+                                             and bool(self.time_limit))
+
     def start(self) -> None:
         """Arm the deadline at program start (backend clocks may not start
         at zero, so the guard reads its own origin)."""
         if self.time_limit:
             self._deadline = self._now() + self.time_limit
 
+    def watch(self, trip):
+        """Call ``trip()`` when the token is cancelled (from the cancelling
+        thread) or the deadline passes (from a timer thread); returns the
+        function that disarms both.  For host clocks, after :meth:`start`."""
+        token = self.token
+        timer = None
+        if self._deadline is not None:
+            timer = threading.Timer(max(0.0, self._deadline - self._now()),
+                                    trip)
+            timer.daemon = True
+            timer.start()
+        if token is not None:
+            token.add_listener(trip)
+
+        def disarm() -> None:
+            if timer is not None:
+                timer.cancel()
+            if token is not None:
+                token.remove_listener(trip)
+
+        return disarm
+
+    def error(self, span: Span):
+        """The error of a tripped :meth:`watch`: the cancellation if the
+        token fired, else the time limit."""
+        token = self.token
+        if token is not None and token.cancelled:
+            return TetraCancelledError(
+                f"the run was cancelled — {token.reason}", span
+            )
+        units = "virtual time units" if self.virtual else "seconds"
+        return TetraLimitError(
+            f"the program exceeded its time limit of {self.time_limit:g} "
+            f"{units} — raise it with --time-limit or "
+            "RuntimeConfig(time_limit=...)",
+            span,
+            limit="time",
+        )
+
     def check(self, ctx, span: Span) -> None:
         """The statement-boundary check: cancel, deadline, chaos preempt."""
         token = self.token
-        if token is not None and token.cancelled:
-            raise TetraCancelledError(
-                f"the run was cancelled — {token.reason}", span
-            )
         deadline = self._deadline
-        if deadline is not None and self._now() > deadline:
-            units = "virtual time units" if self.virtual else "seconds"
-            limit = self.time_limit
-            shown = f"{limit:g}"
-            raise TetraLimitError(
-                f"the program exceeded its time limit of {shown} {units} — "
-                "raise it with --time-limit or RuntimeConfig(time_limit=...)",
-                span,
-                limit="time",
-            )
+        if ((token is not None and token.cancelled)
+                or (deadline is not None and self._now() > deadline)):
+            raise self.error(span)
         preempt = self._preempt
         if preempt is not None:
             preempt.maybe_preempt(ctx)

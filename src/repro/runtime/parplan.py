@@ -65,6 +65,7 @@ from ..tetra_ast import (
     node_equal,
     walk,
 )
+from ..types import BoolType, IntType, RealType, StringType
 
 #: Builtins that consume console input: the parent's input queue cannot be
 #: split across processes without changing which read sees which line.
@@ -453,7 +454,8 @@ def diff_value(old, new, path: tuple, out: list) -> None:
 
     Containers recurse so two workers editing *different* slots of the same
     array merge cleanly; anything else (scalars, shape changes, type
-    changes) records the whole subtree at ``path``.
+    changes) records the whole subtree at ``path``.  A leaf differs when
+    ``old != new``.
     """
     from .values import TetraArray, TetraDict, TetraObject, TetraTuple
 
@@ -462,10 +464,21 @@ def diff_value(old, new, path: tuple, out: list) -> None:
             out.append((path, new))
         return
     if isinstance(old, TetraArray):
-        if len(old.items) != len(new.items):
+        olds, news = old.items, new.items
+        if len(olds) != len(news):
             out.append((path, new))
             return
-        for i, (o, n) in enumerate(zip(old.items, new.items)):
+        # Equal lists hold no differing leaf: ``new`` is the worker's
+        # unpickled copy, so list equality never takes the identity
+        # shortcut that would hide a NaN.
+        if olds == news:
+            return
+        if isinstance(old.element_type, _SCALAR_TYPES):
+            for i, o in enumerate(olds):
+                if o != news[i]:
+                    out.append((path + (("i", i),), news[i]))
+            return
+        for i, (o, n) in enumerate(zip(olds, news)):
             diff_value(o, n, path + (("i", i),), out)
         return
     if isinstance(old, TetraTuple):
@@ -493,6 +506,10 @@ def diff_value(old, new, path: tuple, out: list) -> None:
         return
     if old != new:
         out.append((path, new))
+
+
+#: Element types of a flat array, whose elements diff as leaves.
+_SCALAR_TYPES = (IntType, RealType, BoolType, StringType)
 
 
 def apply_change(root, path: tuple, value) -> None:

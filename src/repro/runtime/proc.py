@@ -4,7 +4,8 @@ The thread backend is honest about CPython — real threads, real races, no
 speedup, because the GIL serializes the interpreter.  This backend closes
 the gap to the paper's headline evaluation (wall-clock scaling of the
 primes and TSP workloads) by running ``parallel for`` bodies across a
-persistent pool of **worker processes**:
+pool of **worker processes** that lives for one run (started at the first
+offload, shut down when the program finishes):
 
 * Closures don't pickle, so workers bootstrap by *recompiling the program
   from its source text* through :func:`repro.api.cached_program` — the
@@ -236,7 +237,7 @@ def _worker_main(worker_index: int, task_q, result_q, source_text: str,
 # Pool
 # ----------------------------------------------------------------------
 class _WorkerPool:
-    """A persistent set of worker processes plus their task/result queues."""
+    """One run's worker processes plus their task/result queues."""
 
     def __init__(self, jobs: int, source_text: str, prog_name: str,
                  recursion_limit: int):

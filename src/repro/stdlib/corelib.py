@@ -32,6 +32,7 @@ from ..types.types import (
 )
 from ..runtime.values import TetraArray, deep_copy, display, make_array
 from .builtin_time import monotonic_clock
+from .mathlib import _checked
 from .registry import builtin, polymorphic
 
 
@@ -79,6 +80,11 @@ def _int_rule(arg_types: tuple[Type, ...]) -> Type:
     return INT
 
 
+#: Python's int() truncates toward zero, like int_div; inf and NaN get the
+#: error policy of floor, ceil and round.
+_int_of_real = _checked(int, "int")
+
+
 @polymorphic("int", _int_rule,
              doc="int(x) — convert to int (reals truncate toward zero)")
 def _int(args, io, span):
@@ -86,7 +92,7 @@ def _int(args, io, span):
     if isinstance(value, bool):
         return 1 if value else 0
     if isinstance(value, float):
-        return int(value)  # Python truncates toward zero, matching int_div
+        return _int_of_real(args, io, span)
     if isinstance(value, str):
         try:
             return int(value.strip(), 10)

@@ -480,6 +480,17 @@ def walk(node: Node):
         yield from walk(child)
 
 
+def walk_statements(node: Node):
+    """Yield the statements nested in ``node``, depth-first, pre-order,
+    without descending into expressions (which hold no statements)."""
+    for child in node.children():
+        if isinstance(child, Stmt):
+            yield child
+            yield from walk_statements(child)
+        elif isinstance(child, (Block, ElifClause)):
+            yield from walk_statements(child)
+
+
 def count_nodes(node: Node) -> int:
     """Number of nodes in the subtree (used by cost-model calibration)."""
     return sum(1 for _ in walk(node))

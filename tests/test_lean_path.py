@@ -1,17 +1,17 @@
-"""The lean fast path: bare statements, completion values, fused shapes.
+"""The lean fast path: bare statements, completion values, generated code.
 
 On the thread and sequential backends a statement compiles to its bare
 core (no per-statement stop poll or span store), ``return`` / ``break`` /
-``continue`` are completion values, and the kernels' hot shapes — ``x op=
-v`` on a local, element loads and stores on a local array, int ``/`` and
-``%``, and a comparison or sum with one inner binop — compile to single
-closures.  These tests pin what that must not change: a stop still ends
-every kind of run promptly, int division keeps C's truncation rule and
-its zero-divisor diagnostic, and an out-of-range element access renders
-the same diagnostic and caret as on the full (simulator) path.  They also
-pin the fixes that ride along: an aug-assign evaluates its target once,
-and a real ``**`` reports a Tetra error instead of leaking a Python
-result or exception.
+``continue`` are completion values, and blocks, assignments, ``x op= v``,
+binops (int ``/`` and ``%`` among them) and element loads and stores on a
+local array compile to generated Python functions.  These tests pin what that must not change: a stop, a cancel
+token and a time limit still end every kind of run promptly, int
+division keeps C's truncation rule and its zero-divisor diagnostic, and
+an out-of-range element access renders the same diagnostic and caret as
+on the full (simulator) path.  They also pin the fixes that ride along:
+an aug-assign evaluates its target once, and a real ``**`` or an ``int``
+of an infinite or NaN real reports a Tetra error instead of leaking a
+Python result or exception.
 """
 
 import textwrap
@@ -22,8 +22,15 @@ import pytest
 
 from repro.api import compile_source, run_source
 from repro.compiler import run_compiled
-from repro.errors import TetraError, TetraRuntimeError, TetraZeroDivisionError
+from repro.errors import (
+    TetraCancelledError,
+    TetraError,
+    TetraLimitError,
+    TetraRuntimeError,
+    TetraZeroDivisionError,
+)
 from repro.interp import Interpreter
+from repro.resilience import CancelToken
 from repro.runtime import RuntimeConfig, SequentialBackend, ThreadBackend
 from repro.stdlib.io import CapturingIO
 from repro.tetra_ast import BinaryOp, BinOp, walk
@@ -75,32 +82,64 @@ STOPPABLE = {
         def main():
             print(fib(60))
         """,
+    # A background loop that outlives main: the stop sources must stay
+    # armed while the backend joins it.
+    "background": """
+        def main():
+            background:
+                n = 0
+                while true:
+                    n += 1
+            print("main returned")
+        """,
 }
+
+
+def _ways_to_stop():
+    """(config, how to end the run or None, error type, message) for the
+    three stop sources a lean run folds into its one stop flag."""
+    token = CancelToken()
+    return {
+        "stop": (RuntimeConfig(num_workers=2), lambda interp: interp.stop(),
+                 TetraError, "the program was stopped"),
+        "cancel": (RuntimeConfig(num_workers=2, cancel=token),
+                   lambda interp: token.cancel("test asked"),
+                   TetraCancelledError, "the run was cancelled — test asked"),
+        "time limit": (RuntimeConfig(num_workers=2, time_limit=0.6), None,
+                       TetraLimitError, "time limit of 0.6 seconds"),
+    }
 
 
 @pytest.mark.parametrize("backend", [SequentialBackend, ThreadBackend])
 @pytest.mark.parametrize("shape", sorted(STOPPABLE))
 def test_stop_ends_a_run_promptly(shape, backend):
+    """``Interpreter.stop()``, a cancel token and a time limit each end a
+    lean run (generated loops, a ``parallel for`` worker, loop-free
+    recursion, a background loop joined after main returns) at its next
+    back-edge or function entry."""
     program, source = compile_source(_src(STOPPABLE[shape]))
-    interp = Interpreter(program, source, backend=backend(), io=CapturingIO(),
-                         config=RuntimeConfig(num_workers=2))
-    errors = []
+    for how, (config, end, error, message) in _ways_to_stop().items():
+        interp = Interpreter(program, source, backend=backend(),
+                             io=CapturingIO(), config=config)
+        assert interp.compiled.lean, how
+        errors = []
 
-    def main():
-        try:
-            interp.run()
-        except BaseException as exc:  # noqa: BLE001 - reported below
-            errors.append(exc)
+        def main():
+            try:
+                interp.run()
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
 
-    runner = threading.Thread(target=main, daemon=True)
-    runner.start()
-    time.sleep(0.3)
-    assert runner.is_alive(), f"the {shape} program ended by itself"
-    interp.stop()
-    runner.join(timeout=10)
-    assert not runner.is_alive(), f"stop() did not end the {shape} program"
-    assert len(errors) == 1 and isinstance(errors[0], TetraError)
-    assert "the program was stopped" in str(errors[0])
+        runner = threading.Thread(target=main, daemon=True)
+        runner.start()
+        time.sleep(0.3)
+        assert runner.is_alive(), f"the {shape} program ended by itself"
+        if end is not None:
+            end(interp)
+        runner.join(timeout=10)
+        assert not runner.is_alive(), f"{how} did not end the {shape} program"
+        assert len(errors) == 1 and isinstance(errors[0], error), how
+        assert message in str(errors[0]), how
 
 
 # ----------------------------------------------------------------------
@@ -143,7 +182,7 @@ def _grid_program() -> tuple[str, list[str]]:
                               "    catch e:",
                               "        print(e)"]
                     expected.append(reference)
-                # In a fused comparison, and as an aug-assign.
+                # In a comparison, and as an aug-assign.
                 lines += ["    try:",
                           f"        print(a {op} b == 1000)",
                           "    catch e:",
@@ -196,7 +235,7 @@ def test_x_mod_assign_by_zero_has_the_statement_caret():
 
 
 # ----------------------------------------------------------------------
-# Element access on the fused shapes: today's diagnostic and caret
+# Element access on a local array: the diagnostic and caret
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("statement", [
     "print(xs[i])", "print(xs[i + 1])", "print(xs[0 - 1])",
@@ -230,6 +269,7 @@ def test_fused_element_shapes_compute_like_the_full_path():
                 i += 1
             xs[1] = 2
             xs[2] += 1
+            xs[0] *= 2
             total = 0
             k = 0
             while k < len(ys):
@@ -239,7 +279,7 @@ def test_fused_element_shapes_compute_like_the_full_path():
         """)
     lean = run_source(text, backend="sequential").output
     assert lean == run_source(text, backend="sim").output
-    assert lean == "[1.5, 2.0, 4.5] [1, 5, 9, 13, 13, 17, 21, 25, 25] 3085\n"
+    assert lean == "[3.0, 2.0, 4.5] [1, 5, 9, 13, 13, 17, 21, 25, 25] 3085\n"
 
 
 # ----------------------------------------------------------------------
@@ -349,3 +389,24 @@ def test_real_power_errors_are_tetra_errors(expr, error, message):
              and n.op is BinaryOp.POW][-1]
     assert result.error.span == power.span
     assert f"{error.phase}: {message}" in result.error.render()
+
+
+@pytest.mark.parametrize("backend", ["sequential", "thread", "sim"])
+@pytest.mark.parametrize("value, message", [
+    ("y", "int() overflowed"), ("y - y", "int() is not defined for nan"),
+])
+def test_int_of_a_non_finite_real_is_a_tetra_error(value, message, backend):
+    text = _src(f"""
+        def main():
+            y = 1.0e308 * 10.0
+            try:
+                print(int({value}))
+            catch e:
+                print("caught: " + e)
+            print(int({value}))
+        """)
+    result = run_source(text, backend=backend, on_error="return")
+    assert result.output == f"caught: {message}\n"
+    assert type(result.error) is TetraRuntimeError
+    assert result.error.message == message
+    assert result.error.span.line == 7

@@ -712,6 +712,27 @@ class TestDeopt:
         result = run(text, metrics=True, on_error="return")
         assert result.metrics.native["deopts"] == [[3, "overflow", 1]]
 
+    @pytest.mark.parametrize("value, message", [
+        ("big", "overflowed"), ("big - big", "is not defined for nan"),
+    ])
+    def test_int_of_a_non_finite_real_is_the_math_error(self, value,
+                                                        message):
+        text = f"""
+        def conv(x real) int:
+            return int(x)
+
+        def main():
+            big = 1.0e308 * 10.0
+            print(conv(-2.5), conv(1.0e30))
+            print(conv({value}))
+        """
+        off, on = (outcome(text, mode) for mode in ("off", "require"))
+        assert on == off
+        assert off[0] == "-21000000000000000019884624838656\n"
+        assert off[1] == 1 and f"int() {message}" in off[2]
+        result = run(text, metrics=True, on_error="return")
+        assert result.metrics.native["deopts"] == [[3, "overflow", 2]]
+
     def test_negative_array_length_gives_the_fast_path_diagnostic(self):
         text = """
         def make(n int) int:

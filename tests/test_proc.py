@@ -550,3 +550,75 @@ def main():
         first = plan_parallel_for(node, program)
         second = plan_parallel_for(node, program)
         assert first is second
+
+
+def _diff_per_leaf(old, new, path, out):
+    """``diff_value`` as it was before its array fast paths: one call per
+    element, the leaf rule ``old != new``."""
+    from repro.runtime.values import TetraArray, TetraDict
+
+    if type(old) is not type(new):
+        if old != new:
+            out.append((path, new))
+    elif isinstance(old, TetraArray):
+        if len(old.items) != len(new.items):
+            out.append((path, new))
+            return
+        for i, (o, n) in enumerate(zip(old.items, new.items)):
+            _diff_per_leaf(o, n, path + (("i", i),), out)
+    elif isinstance(old, TetraDict):
+        for key in sorted(set(old.items) | set(new.items)):
+            if key not in new.items:
+                out.append((path + (("del", key),), None))
+            elif key not in old.items:
+                out.append((path + (("k", key),), new.items[key]))
+            else:
+                _diff_per_leaf(old.items[key], new.items[key],
+                               path + (("k", key),), out)
+    elif old != new:
+        out.append((path, new))
+
+
+class TestMergeDiff:
+    """The array fast paths of ``diff_value`` (one list comparison for an
+    unchanged array, a plain loop over a flat one) record exactly what the
+    per-element recursion records."""
+
+    @staticmethod
+    def _cases():
+        import pickle
+
+        from repro.runtime.values import TetraArray, TetraDict
+        from repro.types import INT, REAL, ArrayType
+
+        nan = float("nan")
+        grid = TetraArray([TetraArray([1, 2], INT), TetraArray([3, 4], INT)],
+                          ArrayType(INT))
+        cases = [
+            (TetraArray([1, 2, 3], INT), TetraArray([1, 2, 3], INT)),
+            (TetraArray([1, 2, 3], INT), TetraArray([1, 5, 3], INT)),
+            (TetraArray([1, 2, 3], INT), TetraArray([1, 2], INT)),
+            # A NaN element differs from itself in the worker's copy.
+            (TetraArray([0.5, nan], REAL), TetraArray([0.5, nan], REAL)),
+            (TetraArray([0.5, nan], REAL), TetraArray([0.5, 2.0], REAL)),
+            # An int and an equal real are not a change; 1 vs 1.5 is.
+            (TetraArray([1.0, 2.0], REAL), TetraArray([1, 2.0], REAL)),
+            (TetraArray([1.0, 2.0], REAL), TetraArray([1.5, 2], REAL)),
+            (TetraArray([True, False], INT), TetraArray([1, 0], INT)),
+            (grid, TetraArray([TetraArray([1, 2], INT),
+                               TetraArray([3, 9], INT)], ArrayType(INT))),
+            (TetraDict({"a": 1}, INT, INT), TetraDict({"a": 2, "b": 3},
+                                                      INT, INT)),
+        ]
+        # The merge diffs the worker's unpickled copy against the original.
+        return [(old, pickle.loads(pickle.dumps(new))) for old, new in cases]
+
+    def test_array_fast_paths_match_the_per_leaf_rule(self):
+        from repro.runtime.parplan import diff_value
+
+        for old, new in self._cases():
+            fast, slow = [], []
+            diff_value(old, new, (), fast)
+            _diff_per_leaf(old, new, (), slow)
+            assert sorted(map(repr, fast)) == sorted(map(repr, slow)), (old,
+                                                                      new)
