@@ -1,49 +1,43 @@
-"""The compiler pipeline: Tetra source → standalone Python module.
+"""The compiler pipeline: Tetra source → C with pthreads (the native tier).
 
-The paper's future-work native compiler targets "C with Pthreads"; this
-reproduction targets Python with ``threading`` (same pipeline position —
-see DESIGN.md §4).  The script compiles Figure II, shows a slice of the
-generated code, writes it to a file you can run directly, and
-differential-checks it against the interpreter.
+The paper's future-work compiler targets "C with Pthreads"; the native
+tier (``repro.compiler.native``) is that compiler.  This script lowers the
+primes listing, shows which functions and loops compile and why the rest
+stay on the interpreter, then runs the program with the tier on and off.
+``tetra compile examples/tetra/primes_2000.ttr`` prints the same C.
 
 Run with:  python examples/compile_and_run.py
 """
 
-import pathlib
-import subprocess
-import sys
-import tempfile
-
 from repro import run_source
-from repro.compiler import compile_to_python, run_compiled
-from repro.programs import FIGURE_2_PARALLEL_SUM
+from repro.api import compile_source
+from repro.compiler.native import lower_program
+from repro.programs import ALL_PROGRAMS
+
+PRIMES_2000 = ALL_PROGRAMS["primes_2000"]
 
 
 def main() -> None:
-    code = compile_to_python(FIGURE_2_PARALLEL_SUM,
-                             module_name="figure2_parallel_sum.ttr")
+    program, _ = compile_source(PRIMES_2000)
+    lowering = lower_program(program, program.symbols)
 
-    print("=== a slice of the generated Python ===")
-    lines = code.split("\n")
-    for line in lines[:30]:
-        print(f"  {line}")
-    print(f"  ... ({len(lines)} lines total)")
+    print("=== lowered to C ===")
+    for name, fn in lowering.functions.items():
+        print(f"  function {name} (line {fn.line}) -> {fn.cname}")
+    for _node, loop in lowering.loops:
+        print(f"  parallel for (line {loop.line}) -> {loop.cname}")
+    print("=== stays on the fast path ===")
+    for line, reason in lowering.fallbacks:
+        print(f"  line {line}: {reason}")
+    print(f"({len(lowering.c_source.splitlines())} lines of C)")
 
-    print("\n=== differential check: compiled vs interpreted ===")
-    interpreted = run_source(FIGURE_2_PARALLEL_SUM).output
-    compiled = run_compiled(FIGURE_2_PARALLEL_SUM).output
+    print("\n=== differential check: native tier vs interpreter ===")
+    interpreted = run_source(PRIMES_2000, native="off").output
+    # "auto" runs the C tier when cc and cffi are present.
+    compiled = run_source(PRIMES_2000, native="auto").output
     print(f"interpreted: {interpreted.strip()}")
-    print(f"compiled:    {compiled.strip()}")
+    print(f"native:      {compiled.strip()}")
     assert interpreted == compiled, "the two execution paths must agree"
-
-    print("\n=== the module runs standalone ===")
-    with tempfile.TemporaryDirectory() as tmp:
-        path = pathlib.Path(tmp) / "figure2_compiled.py"
-        path.write_text(code)
-        result = subprocess.run([sys.executable, str(path)],
-                                capture_output=True, text=True, timeout=60)
-        print(f"$ python {path.name}")
-        print(result.stdout, end="")
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
-"""Tetra → Python compiler (the paper's future-work native compiler)."""
+"""The Tetra compiler: the native tier (:mod:`repro.compiler.native`).
 
-from .codegen import CodeGenerator, compile_to_python, load_compiled, run_compiled
-
-__all__ = ["CodeGenerator", "compile_to_python", "load_compiled", "run_compiled"]
+It lowers numeric functions and merge-safe ``parallel for`` loops to C
+with pthreads, the paper's future-work compiler; ``tetra compile`` prints
+that C.
+"""

@@ -455,12 +455,12 @@ def diff_value(old, new, path: tuple, out: list) -> None:
     Containers recurse so two workers editing *different* slots of the same
     array merge cleanly; anything else (scalars, shape changes, type
     changes) records the whole subtree at ``path``.  A leaf differs when
-    ``old != new``.
+    ``old != new`` unless both are NaN (see :func:`same_value`).
     """
     from .values import TetraArray, TetraDict, TetraObject, TetraTuple
 
     if type(old) is not type(new):
-        if old != new:
+        if not same_value(old, new):
             out.append((path, new))
         return
     if isinstance(old, TetraArray):
@@ -468,15 +468,14 @@ def diff_value(old, new, path: tuple, out: list) -> None:
         if len(olds) != len(news):
             out.append((path, new))
             return
-        # Equal lists hold no differing leaf: ``new`` is the worker's
-        # unpickled copy, so list equality never takes the identity
-        # shortcut that would hide a NaN.
         if olds == news:
             return
         if isinstance(old.element_type, _SCALAR_TYPES):
             for i, o in enumerate(olds):
-                if o != news[i]:
-                    out.append((path + (("i", i),), news[i]))
+                n = news[i]
+                # ``o == o or n == n`` is false only when both are NaN.
+                if o != n and (o == o or n == n):
+                    out.append((path + (("i", i),), n))
             return
         for i, (o, n) in enumerate(zip(olds, news)):
             diff_value(o, n, path + (("i", i),), out)
@@ -504,8 +503,18 @@ def diff_value(old, new, path: tuple, out: list) -> None:
             diff_value(old.fields[fname], new.fields.get(fname),
                        path + (("f", fname),), out)
         return
-    if old != new:
+    if not same_value(old, new):
         out.append((path, new))
+
+
+def same_value(a, b) -> bool:
+    """``a == b``, with NaN equal to NaN.
+
+    A worker returns an unpickled copy of every value, so an untouched NaN
+    comes back as a new float that ``==`` calls different, and two workers
+    that both wrote NaN would seem to disagree.
+    """
+    return a == b or (a != a and b != b)
 
 
 #: Element types of a flat array, whose elements diff as leaves.

@@ -66,6 +66,7 @@ from .parplan import (
     describe_path,
     diff_value,
     plan_parallel_for,
+    same_value,
 )
 from .values import TetraArray, TetraDict, TetraObject, TetraTuple
 
@@ -692,7 +693,8 @@ class ProcBackend(ThreadBackend):
             exact = seen.get(key)
             if exact is not None:
                 prior_value, prior_tid, _prior_name = exact
-                if type(prior_value) is type(value) and prior_value == value:
+                if (type(prior_value) is type(value)
+                        and same_value(prior_value, value)):
                     # Agreement on the same object's slot: applying once
                     # suffices — except a wholesale frame-variable rebind,
                     # which must land on every alias *name* separately.

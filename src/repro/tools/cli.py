@@ -8,7 +8,7 @@ developer-tool subcommands a real release needs:
     tetra check program.ttr        type-check only, print all diagnostics
     tetra tokens program.ttr       dump the token stream
     tetra ast program.ttr          dump the abstract syntax tree
-    tetra compile program.ttr      emit the compiled Python module
+    tetra compile program.ttr      print the native tier's C
     tetra highlight program.ttr    print the source with ANSI colors
     tetra dbg program.ttr          interactive parallel debugger (TUI)
     tetra builtins                 list the standard library
@@ -188,19 +188,26 @@ def cmd_ast(args: argparse.Namespace) -> int:
 
 def cmd_compile(args: argparse.Namespace) -> int:
     source = _read(args.file)
-    from ..compiler import compile_to_python
+    from ..api import compile_source
+    from ..compiler.native import lower_program
 
     try:
-        code = compile_to_python(source.text, module_name=args.file)
+        program, _ = compile_source(source.text, args.file)
     except TetraError as exc:
         print(exc.render(), file=sys.stderr)
         return 1
+    lowering = lower_program(program, program.symbols)
+    notes = "".join(
+        f"/* line {line}: stays on the fast path: {reason} */\n"
+        for line, reason in lowering.fallbacks
+    )
+    code = notes + lowering.c_source
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(code)
         print(f"wrote {args.output}")
     else:
-        print(code)
+        sys.stdout.write(code)
     return 0
 
 
@@ -482,7 +489,8 @@ def build_parser() -> argparse.ArgumentParser:
     ast.set_defaults(func=cmd_ast)
 
     compile_ = sub.add_parser("compile",
-                              help="compile to a Python module")
+                              help="print the C the native tier lowers "
+                                   "the program to")
     compile_.add_argument("file")
     compile_.add_argument("-o", "--output", default=None,
                           help="write to a file instead of stdout")

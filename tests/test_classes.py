@@ -2,18 +2,16 @@
 
 Classes are nominal record types with typed fields, an implicit positional
 constructor, implicit-``self`` methods, and no inheritance (LANGUAGE.md).
-Covered here: checker rules, runtime semantics on every backend, compiled
-differentials, unparse round trips, and interaction with the other
-extensions (tuples, dicts, try/catch).
+Covered here: checker rules, runtime semantics on every backend, pinned
+outputs of whole-feature programs, unparse round trips, and interaction
+with the other extensions (tuples, dicts, try/catch).
 """
 
 import textwrap
 
 import pytest
 
-from conftest import run
-from repro.api import run_source
-from repro.compiler import run_compiled
+from conftest import run, run_output
 from repro.errors import TetraRuntimeError, TetraSyntaxError
 from repro.parser import parse_source
 from repro.source import SourceFile
@@ -393,15 +391,10 @@ class TestClassRuntime:
 
 
 class TestClassCompiled:
-    def differential(self, text):
-        text = textwrap.dedent(text)
-        a = run_source(text).output
-        b = run_compiled(text).output
-        assert a == b
-        return a
+    """Whole-feature programs, their outputs pinned."""
 
     def test_full_differential(self):
-        self.differential(with_point("""
+        assert run_output(with_point("""
             def main():
                 p = Point(3, 4)
                 print(p.magnitude())
@@ -411,10 +404,11 @@ class TestClassCompiled:
                 pts = [Point(0, 0), q]
                 pts[0].y = 7
                 print(pts)
-        """))
+        """)) == ("5.0\nPoint(x: 14, y: 5) true\n"
+                    "[Point(x: 0, y: 7), Point(x: 14, y: 5)]\n")
 
     def test_mutual_reference_differential(self):
-        self.differential("""
+        assert run_output("""
             class Node:
                 value int
 
@@ -428,7 +422,7 @@ class TestClassCompiled:
             def main():
                 pair = Pair(Node(1), Node(2))
                 print(pair.total())
-        """)
+        """) == '3\n'
 
 
 class TestClassUnparse:

@@ -139,23 +139,30 @@ class TestToolCommands:
         assert main(["ast", prog("def broken(:\n")]) == 1
 
     def test_compile_to_stdout(self, prog, capsys):
-        assert main(["compile", prog(FIGURE_2_PARALLEL_SUM)]) == 0
+        assert main(["compile", prog(FIGURE_1_FACTORIAL)]) == 0
         out = capsys.readouterr().out
-        assert "def t_sumr" in out
-        assert "run_group" in out
+        assert "int64_t tt_fn_fact(" in out
+        assert ("/* line 9: stays on the fast path: 'main': calls 'print', "
+                "which is not lowered */") in out
 
     def test_compile_to_file_runs(self, prog, tmp_path, capsys):
-        out_path = str(tmp_path / "compiled.py")
-        assert main(["compile", prog(FIGURE_2_PARALLEL_SUM),
+        from repro.compiler.native import find_compiler
+
+        out_path = str(tmp_path / "fact.c")
+        assert main(["compile", prog(FIGURE_1_FACTORIAL),
                      "-o", out_path]) == 0
+        assert capsys.readouterr().out == f"wrote {out_path}\n"
+        cc = find_compiler()
+        if cc is None:
+            pytest.skip("no C compiler on this machine")
         import subprocess
-        import sys
 
         result = subprocess.run(
-            [sys.executable, out_path], capture_output=True, text=True,
-            timeout=60,
+            [cc, "-shared", "-fPIC", "-o", str(tmp_path / "fact.so"),
+             out_path, "-lpthread", "-lm"],
+            capture_output=True, text=True, timeout=60,
         )
-        assert result.stdout == "5050\n"
+        assert result.returncode == 0, result.stderr
 
     def test_highlight(self, prog, capsys):
         assert main(["highlight", prog(FIGURE_3_PARALLEL_MAX)]) == 0

@@ -5,17 +5,15 @@
 * error handling (``try`` / ``catch`` and the ``error()`` builtin).
 
 Each feature is exercised through the whole pipeline: checker accept/reject,
-interpreter semantics (all backends), compiled-code differential, and
-unparse round-trips.
+interpreter semantics (all backends), pinned outputs of whole-feature
+programs, and unparse round-trips.
 """
 
 import textwrap
 
 import pytest
 
-from conftest import run
-from repro.api import run_source
-from repro.compiler import run_compiled
+from conftest import run, run_output
 from repro.errors import (
     TetraDeadlockError,
     TetraIndexError,
@@ -41,14 +39,6 @@ def reject(text: str, match: str):
 
 def accept(text: str):
     assert errors_of(text) == []
-
-
-def differential(text: str):
-    text = textwrap.dedent(text)
-    interpreted = run_source(text).output
-    compiled = run_compiled(text).output
-    assert interpreted == compiled
-    return interpreted
 
 
 class TestDictChecker:
@@ -484,8 +474,10 @@ class TestTryCatchRuntime:
 
 
 class TestCompiledExtensions:
+    """Whole-feature programs, their outputs pinned."""
+
     def test_dict_differential(self):
-        differential("""
+        assert run_output("""
             def main():
                 d = {"b": 2, "a": 1}
                 d["c"] = 3
@@ -494,20 +486,20 @@ class TestCompiledExtensions:
                 for k in d:
                     print(k, " -> ", d[k])
                 print(get_or(d, "zz", -1), " ", has_key(d, "a"))
-        """)
+        """) == '{a: 1, c: 3} [a, c] 2\na -> 1\nc -> 3\n-1 true\n'
 
     def test_declaration_differential(self):
-        differential("""
+        assert run_output("""
             def main():
                 xs [real] = []
                 d {int: string} = {}
                 d[1] = "one"
                 x real = 2
                 print(len(xs), " ", d, " ", x)
-        """)
+        """) == '0 {1: one} 2.0\n'
 
     def test_try_catch_differential(self):
-        differential("""
+        assert run_output("""
             def main():
                 try:
                     xs = [1]
@@ -518,16 +510,17 @@ class TestCompiledExtensions:
                     error("direct")
                 catch e:
                     print(e)
-        """)
+        """) == ("handled: index 9 is out of range for an array of length 1 "
+                   "(valid indexes are 0 through 0)\ndirect\n")
 
     def test_word_count_differential(self):
-        differential("""
+        assert run_output("""
             def main():
                 counts {string: int} = {}
                 for w in split("a b a c b a", " "):
                     counts[w] = get_or(counts, w, 0) + 1
                 print(counts)
-        """)
+        """) == '{a: 3, b: 2, c: 1}\n'
 
 
 class TestUnparseExtensions:

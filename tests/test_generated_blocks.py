@@ -110,20 +110,20 @@ def test_listings_agree_on_threads(name):
 
 @given(programs())
 @settings(max_examples=60, deadline=None)
-def test_generated_programs_agree(text):
-    assert_closures_agree(text)
+def test_generated_programs_agree(case):
+    assert_closures_agree(case[0])
 
 
 @given(native_function_programs())
 @settings(max_examples=60, deadline=None)
-def test_generated_kernels_agree(text):
-    assert_closures_agree(text)
+def test_generated_kernels_agree(case):
+    assert_closures_agree(case[0])
 
 
 @given(parallel_reduction_programs())
 @settings(max_examples=15, deadline=None)
 def test_generated_parallel_reductions_agree(case):
-    text, workers = case
+    text, _twin, workers = case
     assert_paths_agree(text, backend="thread", num_workers=min(workers, 4))
 
 
@@ -136,7 +136,7 @@ def test_trapping_expressions_agree(exprs, d):
     lines = ["def kernel(a int, b int, c int, d int, xs [int]) int:",
              "    k = 0",
              "    while k < 2:"]
-    for n, e in enumerate(exprs):
+    for n, (e, _twin) in enumerate(exprs):
         lines += [f"        a = {e}", f"        xs[{n}] = {e}",
                   f"        b += {e}", f"        xs[{n % 3}] %= {e} + 1",
                   "        print(a, b, xs)"]

@@ -21,7 +21,6 @@ import time
 import pytest
 
 from repro.api import compile_source, run_source
-from repro.compiler import run_compiled
 from repro.errors import (
     TetraCancelledError,
     TetraError,
@@ -353,10 +352,6 @@ def test_aug_assign_evaluates_a_call_in_its_target_once(backend,
                                                         detect_races):
     result = run_source(PICKY, backend=backend, detect_races=detect_races)
     assert result.output == PICKY_OUTPUT
-
-
-def test_codegen_aug_assign_evaluates_its_target_once():
-    assert run_compiled(PICKY).output == PICKY_OUTPUT
 
 
 # ----------------------------------------------------------------------

@@ -553,8 +553,8 @@ def main():
 
 
 def _diff_per_leaf(old, new, path, out):
-    """``diff_value`` as it was before its array fast paths: one call per
-    element, the leaf rule ``old != new``."""
+    """``diff_value`` without its array fast paths: one call per element,
+    the leaf rule ``old != new`` unless both are NaN."""
     from repro.runtime.values import TetraArray, TetraDict
 
     if type(old) is not type(new):
@@ -575,7 +575,7 @@ def _diff_per_leaf(old, new, path, out):
             else:
                 _diff_per_leaf(old.items[key], new.items[key],
                                path + (("k", key),), out)
-    elif old != new:
+    elif old != new and not (old != old and new != new):
         out.append((path, new))
 
 
@@ -598,7 +598,7 @@ class TestMergeDiff:
             (TetraArray([1, 2, 3], INT), TetraArray([1, 2, 3], INT)),
             (TetraArray([1, 2, 3], INT), TetraArray([1, 5, 3], INT)),
             (TetraArray([1, 2, 3], INT), TetraArray([1, 2], INT)),
-            # A NaN element differs from itself in the worker's copy.
+            # A NaN element is unchanged in the worker's copy.
             (TetraArray([0.5, nan], REAL), TetraArray([0.5, nan], REAL)),
             (TetraArray([0.5, nan], REAL), TetraArray([0.5, 2.0], REAL)),
             # An int and an equal real are not a change; 1 vs 1.5 is.
@@ -622,3 +622,22 @@ class TestMergeDiff:
             _diff_per_leaf(old, new, (), slow)
             assert sorted(map(repr, fast)) == sorted(map(repr, slow)), (old,
                                                                       new)
+
+    @pytest.mark.parametrize("body", [
+        "xs[i] = xs[i] * 2.0",  # no worker touches the NaN in xs[0]
+        "xs[0] = big - big",    # every worker writes a NaN to xs[0]
+    ])
+    def test_nan_slots_merge_as_on_threads(self, body):
+        text = f"""
+def main():
+    big = 1.0e308 * 10.0
+    xs = [big - big, 1.0, 2.0, 3.0, 4.0, 5.0]
+    parallel for i in [1 ... 5]:
+        {body}
+    print(xs)
+"""
+        thread = run_source(text, backend="thread", config=cfg(num_workers=2))
+        proc = run_proc(text, config=cfg(num_workers=2))
+        assert proc.output == thread.output
+        assert proc.backend.pool_workers == 2
+        assert proc.backend.fallbacks == []

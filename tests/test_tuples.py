@@ -1,17 +1,15 @@
 """Tests for tuples — the last of the paper's future-work built-in types.
 
 Covers the checker's static rules (constant indexing, immutability, arity
-matching in unpacking), runtime semantics on every backend, compiled-code
-differentials, and unparse round trips.
+matching in unpacking), runtime semantics on every backend, pinned
+outputs of whole-feature programs, and unparse round trips.
 """
 
 import textwrap
 
 import pytest
 
-from conftest import run
-from repro.api import run_source
-from repro.compiler import run_compiled
+from conftest import run, run_output
 from repro.errors import TetraSyntaxError
 from repro.parser import parse_source
 from repro.source import SourceFile
@@ -233,15 +231,10 @@ class TestTupleRuntime:
 
 
 class TestTupleCompiled:
-    def differential(self, text):
-        text = textwrap.dedent(text)
-        interpreted = run_source(text).output
-        compiled = run_compiled(text).output
-        assert interpreted == compiled
-        return interpreted
+    """Whole-feature programs, their outputs pinned."""
 
     def test_full_feature_differential(self):
-        self.differential("""
+        assert run_output("""
             def stats(xs [int]) (int, int, real):
                 total = 0
                 hi = xs[0]
@@ -255,15 +248,15 @@ class TestTupleCompiled:
                 print(total, " ", hi, " ", mean)
                 nested = ((1, 2), (3, 4))
                 print(nested[0][1], " ", nested)
-        """)
+        """) == '18 8 6.0\n2 ((1, 2), (3, 4))\n'
 
     def test_unpack_into_elements_differential(self):
-        self.differential("""
+        assert run_output("""
             def main():
                 xs = [0.0, 0.0]
                 xs[0], xs[1] = (1, 2.5)
                 print(xs)
-        """)
+        """) == '[1.0, 2.5]\n'
 
 
 class TestTupleUnparse:
