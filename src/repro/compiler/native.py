@@ -221,9 +221,12 @@ class _Ineligible(Exception):
     """Raised during emission when a construct cannot be lowered; the
     message is the human-readable fallback reason."""
 
-    def __init__(self, reason: str):
+    def __init__(self, reason: str, loop=None):
         super().__init__(reason)
         self.reason = reason
+        #: The ``parallel for`` that kept a function body from lowering;
+        #: it may still lower as its own kernel.
+        self.loop = loop
 
 
 @dataclass
@@ -742,6 +745,9 @@ class _Emitter:
             # parplan guarantees ok-plan lock bodies are reduction idioms
             # over worker-local accumulators, so the lock itself vanishes.
             self.block(s.body)
+        elif isinstance(s, ParallelFor):
+            raise _Ineligible(f"its parallel for at line {s.span.line} is "
+                              "not lowered", loop=s)
         else:
             raise _Ineligible(
                 f"{type(s).__name__} statements are not lowered"
@@ -1486,6 +1492,9 @@ def lower_program(program, symbols) -> Lowering:
     """
     fallbacks: list[tuple[int, str]] = []
     seen_reasons: set[tuple[int, str]] = set()
+    #: Functions a parallel for kept on the fast path: (their fallback,
+    #: name, loop), reworded once stage 3 knows whether the loop lowered.
+    loop_bound: list[tuple[tuple[int, str], str, object]] = []
 
     def note(line: int, reason: str) -> None:
         key = (line, reason)
@@ -1539,7 +1548,10 @@ def lower_program(program, symbols) -> Lowering:
                     symbols.scope_of(name), callables,
                 ))
             except _Ineligible as exc:
-                note(fn.span.line, f"'{name}': {exc.reason}")
+                key = (fn.span.line, f"'{name}': {exc.reason}")
+                note(*key)
+                if exc.loop is not None:
+                    loop_bound.append((key, name, exc.loop))
                 del candidates[name]
                 failed = True
         if not failed:
@@ -1565,6 +1577,13 @@ def lower_program(program, symbols) -> Lowering:
                 continue
             loops.append((node, meta))
             k += 1
+    lowered = {id(node): meta.cname for node, meta in loops}
+    for key, name, loop in loop_bound:
+        if id(loop) in lowered:
+            fallbacks[fallbacks.index(key)] = (
+                key[0], f"'{name}': its parallel for at line "
+                f"{loop.span.line} is lowered on its own "
+                f"({lowered[id(loop)]})")
 
     protos = [_fn_signature_text(m) + ";" for m in metas.values()]
     protos.extend(_loop_signature_text(m) + ";" for _n, m in loops)
@@ -1882,7 +1901,8 @@ def _run_block_reason(interp) -> str:
     if cfg.profile:
         return "line profiling needs per-statement interpreter hooks"
     if cfg.step_limit:
-        return "step limits count interpreter steps, which C kernels skip"
+        return ("step budgets count loop iterations and calls, which C "
+                "kernels do not count")
     if cfg.memory_limit:
         return "memory limits meter interpreter allocations"
     if cfg.output_limit:

@@ -22,16 +22,16 @@ time bound into the closure:
   schedule per statement (``checkpoint``) nor account costs (``charge``)
   — a statement compiles to its bare core: nothing there reads a
   statement span, and the stop flag is polled at loop back-edges and on
-  function entry instead.  Without cost accounting or race detection,
+  function entry instead (under a step budget those polls count the
+  steps, on every backend).  Without cost accounting or race detection,
   assignments, ``op=``, binops and element loads on a local array compile
   to generated Python functions (:mod:`repro.interp.generate`) with their
   operands inlined, and a lean compile goes further: each block becomes
   one generated function that calls closures only for what its
   vocabulary leaves out.  The
   coop scheduler and the virtual-time simulator get the full prologue —
-  stop flag, step budget, guardrail, span, checkpoint, profile hit,
-  statement charge — so stepping, step budgets, and simulated makespans
-  follow every statement.
+  stop flag, guardrail, span, checkpoint, profile hit, statement charge
+  — so stepping and simulated makespans follow every statement.
 * **Completion values.**  A statement returns ``None``, ``BREAK``,
   ``CONTINUE`` or a returned value instead of raising (see
   :mod:`repro.interp.control`), so ``return`` costs no exception.
@@ -253,7 +253,10 @@ class _Compiler:
         self.io = interp.io
         self.source = interp.source
         self.symbols = interp.symbols
-        self.limit = interp.config.step_limit
+        #: The run's step counter under a step budget, else None: the
+        #: sites that poll the stop flag count a step each (see
+        #: :meth:`Interpreter._stop_error`).
+        self.steps = interp._steps if interp.config.step_limit else None
         # Backends that don't observe checkpoint() never see it skipped;
         # dropping the call saves a method call per statement on the thread
         # and sequential backends.  Asked of the *instance* (not the class)
@@ -278,7 +281,7 @@ class _Compiler:
         #: The race detector, or None; only a detector makes shared-access
         #: sites compile with hooks.
         self.race = interp._race
-        self.lean = not (self.acc or self.limit or self.need_checkpoint
+        self.lean = not (self.acc or self.need_checkpoint
                          or self._line_hit is not None
                          or (guard is not None and guard.per_statement))
         #: Without cost accounting or race hooks, assignments, ``op=``,
@@ -351,11 +354,14 @@ class _Compiler:
         acc = self.acc
         charge = self.backend.charge
         call_units = self.cost.call_overhead
+        steps = self.steps
 
         def invoke(args, ctx, span):
-            # Lean statements do not poll the stop flag; function entry and
-            # loop back-edges do, so a stop ends loop-free recursion too.
-            if interp._stopped:
+            # Statements do not poll the stop flag; function entry and loop
+            # back-edges do (and count a step under a budget), so a stop or
+            # a budget ends loop-free recursion too.
+            if (interp._stopped if steps is None
+                    else next(steps) > interp._budget):
                 raise interp._stop_error(span)
             call_stack = ctx.call_stack
             if len(call_stack) >= recursion_limit:
@@ -454,11 +460,12 @@ class _Compiler:
         return core if self.lean else self._wrap(s, core)
 
     def _wrap(self, s: Stmt, core: StmtRun) -> StmtRun:
-        """Attach the full per-statement prologue: stop flag, step budget,
-        guardrail, current span, checkpoint, profile hit and charge.
+        """Attach the full per-statement prologue: stop flag, guardrail,
+        current span, checkpoint, profile hit and charge.
 
         Lean backends run the bare core: nothing on them reads the span,
         and their loop back-edges and function entries poll the stop flag.
+        The step budget is counted at those polls on every backend.
         """
         interp = self.interp
         span = s.span
@@ -466,8 +473,6 @@ class _Compiler:
         charge = self.backend.charge
         acc = self.acc
         units = self.cost.statement
-        limit = self.limit
-        steps = interp._steps
         line_hit = self._line_hit
         guard_check = self._guard_check
         line = span.line
@@ -475,17 +480,6 @@ class _Compiler:
         def run_full(ctx):
             if interp._stopped:
                 raise interp._stop_error(span)
-            if limit and next(steps) > limit:
-                exc = TetraLimitError(
-                    f"the program exceeded its budget of {limit} statements "
-                    "— raise it with --step-limit or "
-                    "RuntimeConfig(step_limit=...)",
-                    span,
-                    limit="steps",
-                )
-                if interp.source is not None:
-                    exc.attach_source(interp.source)
-                raise exc
             if guard_check is not None:
                 guard_check(ctx, span)
             stack = ctx.call_stack
@@ -656,7 +650,8 @@ class _Compiler:
 
     # -- control flow ------------------------------------------------------
     # A loop consumes BREAK and CONTINUE and passes any other completion
-    # (a return) up; every loop polls the stop flag at its back-edge.
+    # (a return) up; every loop polls the stop flag at its back-edge, and
+    # counts a step there under a budget.
     def _stmt_if(self, s: If) -> StmtRun:
         cond = self.expr(s.cond)
         then = self.block(s.then)
@@ -703,6 +698,7 @@ class _Compiler:
         acc = self.acc
         charge = self.backend.charge
         units = self.cost.loop_iteration
+        steps = self.steps
 
         def run(ctx):
             while True:
@@ -710,7 +706,8 @@ class _Compiler:
                     charge(ctx, units)
                 if not cond(ctx):
                     return None
-                if interp._stopped:
+                if (interp._stopped if steps is None
+                        else next(steps) > interp._budget):
                     raise interp._stop_error(span)
                 completion = body(ctx)
                 if completion is not None:
@@ -732,6 +729,7 @@ class _Compiler:
         acc = self.acc
         charge = self.backend.charge
         units = self.cost.loop_iteration
+        steps = self.steps
 
         def run(ctx):
             items = iterate(iterable_fn(ctx), span)
@@ -740,7 +738,8 @@ class _Compiler:
             for item in items:
                 if acc:
                     charge(ctx, units)
-                if interp._stopped:
+                if (interp._stopped if steps is None
+                        else next(steps) > interp._budget):
                     raise interp._stop_error(span)
                 if private:
                     env.set(var, item)
@@ -804,6 +803,7 @@ class _Compiler:
         try_offload = backend.try_parallel_for
         sched_rec = interp.config.schedule_recorder
         native = getattr(interp, "_native", None)
+        steps = self.steps
 
         def run(ctx):
             items = interp._iterate(iterable_fn(ctx), span)
@@ -834,7 +834,8 @@ class _Compiler:
                     for item in chunk:
                         if acc:
                             charge(c, units)
-                        if interp._stopped:
+                        if (interp._stopped if steps is None
+                                else next(steps) > interp._budget):
                             raise interp._stop_error(span)
                         private[var] = item
                         body(c)

@@ -27,7 +27,9 @@ The generated vocabulary:
 * ``if``/``elif``/``else``, ``while`` and ``for``, with ``break``,
   ``continue`` and ``return`` as Python's own inside a generated loop and
   as completion values (:mod:`repro.interp.control`) at the block's top;
-* the stop poll at every loop back-edge.
+* the stop poll at every loop back-edge; under a step budget it counts
+  the step and compares the count with ``Interpreter._budget`` instead,
+  and without one the source is the same as if budgets did not exist.
 
 Any other statement or expression — ``print`` and the other builtins,
 ``lock``, ``try``, stores that widen, reads of ``parallel for`` induction
@@ -106,6 +108,7 @@ _GLOBALS = {
     "_RETURN": RETURN,
     "_KeyError": KeyError,
     "_len": len,
+    "_next": next,
     "_int_div": int_div,
     "_int_mod": int_mod,
     "_unbound": unbound_error,
@@ -308,8 +311,10 @@ class _Writer:
         self.emit(f"    return {done}")
 
     def poll(self, span) -> None:
-        self.emit(f"    if _i._stopped: raise _i._stop_error("
-                  f"{self.bound(span)})")
+        steps = self.comp.steps
+        test = ("_i._stopped" if steps is None
+                else f"_next({self.bound(steps)}) > _i._budget")
+        self.emit(f"    if {test}: raise _i._stop_error({self.bound(span)})")
 
     def expr_stmt(self, s: ExprStmt) -> bool:
         self.emit(self.expr(s.expr))

@@ -27,6 +27,7 @@ import threading
 from ..errors import (
     TetraError,
     TetraInternalError,
+    TetraLimitError,
     TetraRuntimeError,
     TetraThreadError,
 )
@@ -65,7 +66,13 @@ class Interpreter:
             check_program(program, source)
         self.symbols = program.symbols  # type: ignore[attr-defined]
         self._functions = {fn.name: fn for fn in program.functions}
+        #: Steps taken so far, counted under a step budget only: a step is
+        #: a loop iteration, a ``parallel for`` item or a call, the sites
+        #: that poll the stop flag.
         self._steps = itertools.count(1)
+        #: A counting poll takes its slow path once its step number
+        #: exceeds this: the step budget, or 0 once the run is stopped.
+        self._budget = self.config.step_limit
         #: The stop flag polled at loop back-edges and function entries.
         self._stopped = False
         #: Set with ``_stopped`` when the guard's watch tripped it, so the
@@ -202,8 +209,10 @@ class Interpreter:
         return invoke(args, ctx, span)
 
     def stop(self) -> None:
-        """Ask every thread to abandon the program at its next statement."""
+        """Ask every thread to abandon the program at its next loop
+        iteration or call."""
         self._stopped = True
+        self._budget = 0
         token = self.config.cancel
         if token is not None:
             # Route through the CancelToken too, so threads parked on locks
@@ -215,12 +224,22 @@ class Interpreter:
         if not self._stopped:
             self._tripped = True
             self._stopped = True
+            self._budget = 0
 
     def _stop_error(self, span: Span) -> TetraError:
-        """What a thread raises when it finds the stop flag set at ``span``."""
+        """What a thread raises when its poll at ``span`` finds the stop
+        flag set or, under a step budget, the budget spent."""
         if self._tripped:
             return self._guard.error(span)
-        return TetraThreadError("the program was stopped")
+        if self._stopped:
+            return TetraThreadError("the program was stopped")
+        return self._err(
+            TetraLimitError,
+            f"the program exceeded its budget of {self.config.step_limit} "
+            "steps (loop iterations, parallel for items and calls) — "
+            "raise it with --step-limit or RuntimeConfig(step_limit=...)",
+            span, limit="steps",
+        )
 
     @property
     def races(self):
@@ -324,8 +343,8 @@ class Interpreter:
             start += size
         return chunks
 
-    def _err(self, cls, message: str, span: Span):
-        exc = cls(message, span)
+    def _err(self, cls, message: str, span: Span, **kwargs):
+        exc = cls(message, span, **kwargs)
         if self.source is not None:
             exc.attach_source(self.source)
         return exc

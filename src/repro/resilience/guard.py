@@ -1,14 +1,16 @@
 """Execution guardrails: time limits, cancellation, chaos, memory.
 
 The interpreter's full statement prologue owns a per-statement hook chain
-(stop flag, step budget, backend checkpoint, profiler).
+(stop flag, backend checkpoint, profiler).
 :class:`ExecutionGuard` slots into it with the run-wide limits that need a
 *clock* or a *token*: wall-clock ``time_limit`` (the backend's own clock,
 so sim/coop budgets are virtual units and fully deterministic), the
 cooperative :class:`CancelToken`, and thread-backend preemption jitter
 from a :class:`FaultPlan`.  A lean run has no prologue; there the guard
 folds the token and a host-clock deadline into the stop flag that loop
-back-edges and function entries poll (:meth:`ExecutionGuard.watch`).
+back-edges and function entries poll (:meth:`ExecutionGuard.watch`).  One
+daemon thread per process trips every lean run's deadline
+(:class:`_Deadlines`), so a time-limited run starts no thread of its own.
 
 The value-heap ``memory_limit`` lives in :class:`HeapMeter`, checked at
 container *allocation* sites instead of per statement — live cells are
@@ -22,11 +24,14 @@ binds ``None`` and the fast path compiles the check out entirely.
 
 from __future__ import annotations
 
+import itertools
+import os
 import threading
 import weakref
 
 from ..errors import TetraCancelledError, TetraLimitError
 from ..source import NO_SPAN, Span
+from ..stdlib.builtin_time import monotonic_clock
 
 #: Output charged per heap cell when ``memory_limit`` is set without an
 #: explicit ``output_limit``: the interpreter then caps captured output at
@@ -92,6 +97,68 @@ class HeapMeter:
             self.track(value, len(value.fields), span)
 
 
+class _Deadlines:
+    """The process's one deadline thread: calls each registered ``trip``
+    once its host-clock deadline passes, unless it was removed first.
+
+    The thread starts with the first registration and sleeps until the
+    earliest pending deadline.  A forked child starts over with no thread
+    and no entries (:func:`os.register_at_fork`), since threads do not
+    survive ``fork`` and an inherited lock may be held.
+    """
+
+    def __init__(self):
+        self._cond = threading.Condition(threading.Lock())
+        #: id -> (deadline, trip), one entry per armed run.
+        self._due: dict[int, tuple] = {}
+        self._ids = itertools.count()
+        self._thread: threading.Thread | None = None
+        #: When the thread wakes next; an earlier deadline must wake it.
+        self._wake = float("inf")
+
+    def add(self, delay: float, trip) -> int:
+        """Call ``trip()`` from the deadline thread in ``delay`` seconds;
+        returns the id that :meth:`remove` takes."""
+        key = next(self._ids)
+        at = monotonic_clock() + delay
+        with self._cond:
+            self._due[key] = (at, trip)
+            if self._thread is None:
+                self._thread = threading.Thread(
+                    target=self._loop, name="tetra-deadlines", daemon=True)
+                self._thread.start()
+            elif at < self._wake:
+                self._cond.notify()
+        return key
+
+    def remove(self, key: int) -> None:
+        with self._cond:
+            self._due.pop(key, None)
+
+    def _loop(self) -> None:
+        due = self._due
+        with self._cond:
+            while True:
+                now = monotonic_clock()
+                for key in [k for k, (at, _) in due.items() if at <= now]:
+                    due.pop(key)[1]()
+                self._wake = min((at for at, _ in due.values()),
+                                 default=float("inf"))
+                self._cond.wait(None if not due else self._wake - now)
+
+
+_deadlines = _Deadlines()
+
+
+def _forked() -> None:
+    global _deadlines
+    _deadlines = _Deadlines()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forked)
+
+
 class ExecutionGuard:
     """Per-run guard, armed when any of ``time_limit`` / ``cancel`` /
     thread-backend chaos is configured.
@@ -144,21 +211,20 @@ class ExecutionGuard:
 
     def watch(self, trip):
         """Call ``trip()`` when the token is cancelled (from the cancelling
-        thread) or the deadline passes (from a timer thread); returns the
-        function that disarms both.  For host clocks, after :meth:`start`."""
+        thread) or the deadline passes (from the process's deadline
+        thread); returns the function that disarms both.  For host clocks,
+        after :meth:`start`."""
         token = self.token
-        timer = None
+        deadlines = key = None
         if self._deadline is not None:
-            timer = threading.Timer(max(0.0, self._deadline - self._now()),
-                                    trip)
-            timer.daemon = True
-            timer.start()
+            deadlines = _deadlines
+            key = deadlines.add(self._deadline - self._now(), trip)
         if token is not None:
             token.add_listener(trip)
 
         def disarm() -> None:
-            if timer is not None:
-                timer.cancel()
+            if deadlines is not None:
+                deadlines.remove(key)
             if token is not None:
                 token.remove_listener(trip)
 

@@ -87,8 +87,10 @@ class RuntimeConfig:
     #: Wait for ``background`` threads when the program finishes, so program
     #: output is deterministic.  Set False to truly detach them.
     wait_for_background: bool = True
-    #: Abort interpretation after this many statements (0 = unlimited).
-    #: Guards tests and the debugger against runaway programs.
+    #: Abort after this many steps (0 = unlimited).  A step is a loop
+    #: iteration, a ``parallel for`` item or a call of a Tetra function,
+    #: counted where the stop flag is polled, the same on every backend.
+    #: Guards tests, the debugger and served runs against runaway programs.
     step_limit: int = 0
     #: Tetra-level recursion depth limit.
     recursion_limit: int = 200

@@ -346,8 +346,8 @@ class ProcBackend(ThreadBackend):
         cfg = self.config
         if cfg.detect_races or cfg.profile or cfg.step_limit \
                 or cfg.memory_limit or cfg.output_limit:
-            # Per-statement instrumentation (race events, line counters,
-            # step budgets, the heap/output meters) lives in this process.
+            # Instrumentation (race events, line counters, the step
+            # counter, the heap/output meters) lives in this process.
             return False
         if interp.source is None or len(items) < 2:
             return False

@@ -164,7 +164,8 @@ class ServeConfig:
     #: Value-heap cells (see RuntimeConfig.memory_limit).
     default_memory_limit: int = 500_000
     max_memory_limit: int = 2_000_000
-    #: Interpreted statements.
+    #: Steps: loop iterations, parallel for items and calls (see
+    #: RuntimeConfig.step_limit).
     default_step_limit: int = 5_000_000
     max_step_limit: int = 50_000_000
     #: Captured output characters.

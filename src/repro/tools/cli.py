@@ -437,7 +437,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "if the tier cannot be set up; fallback "
                           "reasons appear under --metrics")
     run.add_argument("--step-limit", type=int, default=0, metavar="N",
-                     help="abort after N interpreted statements (exit 4)")
+                     help="abort after N steps: loop iterations, parallel "
+                          "for items and calls (exit 4)")
     run.add_argument("--time-limit", type=float, default=0.0, metavar="T",
                      help="abort after T units of the backend's clock: "
                           "seconds on thread/sequential, virtual units on "

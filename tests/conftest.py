@@ -24,6 +24,17 @@ def run_output(text: str, inputs: list[str] | None = None, backend="thread",
                       config=config, **kwargs).output
 
 
+@pytest.fixture(autouse=True, scope="session")
+def private_native_cache(tmp_path_factory):
+    """Build the suite's native artifacts in a temporary cache, never in
+    the developer's ``~/.cache/tetra/native`` (whose LRU cap the suite
+    would otherwise fill, evicting the developer's own artifacts)."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("TETRA_NATIVE_CACHE",
+                     str(tmp_path_factory.mktemp("native-cache")))
+        yield
+
+
 @pytest.fixture(params=["thread", "sequential", "coop", "sim"])
 def any_backend(request):
     """Parameterizes a test over every execution backend."""

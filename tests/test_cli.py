@@ -145,6 +145,27 @@ class TestToolCommands:
         assert ("/* line 9: stays on the fast path: 'main': calls 'print', "
                 "which is not lowered */") in out
 
+    def test_compile_names_a_lowered_parallel_for(self, capsys):
+        # count_primes stays on the fast path, but its loop is a kernel.
+        assert main(["compile", example("primes_2000.ttr")]) == 0
+        out = capsys.readouterr().out
+        assert ("/* line 15: stays on the fast path: 'count_primes': its "
+                "parallel for at line 17 is lowered on its own (tt_pf0) */"
+                ) in out
+        assert "tt_pf0_run" in out
+        assert "ParallelFor" not in out
+
+    def test_compile_names_a_parallel_for_left_unlowered(self, prog, capsys):
+        text = ("def show(n int):\n"
+                "    parallel for i in [1 ... n]:\n"
+                "        print(i)\n\n"
+                "def main():\n    show(3)\n")
+        assert main(["compile", prog(text)]) == 0
+        out = capsys.readouterr().out
+        assert ("/* line 1: stays on the fast path: 'show': its parallel "
+                "for at line 2 is not lowered */") in out
+        assert "tt_pf0" not in out
+
     def test_compile_to_file_runs(self, prog, tmp_path, capsys):
         from repro.compiler.native import find_compiler
 

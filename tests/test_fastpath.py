@@ -270,7 +270,7 @@ class TestFastPathParity:
     def test_step_limit_enforced_through_fast_path(self):
         spin = "def main():\n    while true:\n        pass\n"
         config = RuntimeConfig(step_limit=500)
-        with pytest.raises(TetraLimitError, match="budget of 500 statements"):
+        with pytest.raises(TetraLimitError, match="budget of 500 steps"):
             run_source(spin, backend="sequential", config=config)
 
 

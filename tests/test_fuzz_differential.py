@@ -12,13 +12,14 @@ cleanly, so a checker rejection is a generator bug and fails loudly.
 """
 
 import importlib.util
+import pathlib
 import textwrap
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.api import run_source
-from repro.compiler.native import find_compiler
+from repro.compiler.native import cache_dir, find_compiler
 from repro.errors import exit_code_for
 
 VARS = ["a", "b", "c"]
@@ -366,6 +367,14 @@ INT64_OVERFLOW_KERNEL = (
     "def kernel(a, b, c):\n" + INT64_OVERFLOW_BODY
     + "    return a + b + c\n\nemit(kernel(0, 2, 0))\n",
 )
+
+
+def test_the_suite_builds_native_code_outside_home():
+    """The fuzz below builds with ``native="require"``; its artifacts go
+    to the suite's temporary cache (``conftest.private_native_cache``)."""
+    cache = pathlib.Path(cache_dir()).resolve()
+    home = pathlib.Path.home().resolve()
+    assert cache != home and home not in cache.parents, cache
 
 
 @pytest.mark.skipif(

@@ -1,11 +1,11 @@
 """Generated lean blocks against the closure path.
 
 On a lean compile each function, loop and ``parallel for`` body runs as
-one generated Python function (:mod:`repro.interp.generate`).  A step
-budget forces the full statement prologue: blocks stay closures, and only
-single assignments, binops and element loads are generated, so the two
-runs below differ in how blocks run — control flow, completions, stop
-polls and fallback statements.  They must agree on the output, the exit
+one generated Python function (:mod:`repro.interp.generate`).  Line
+profiling forces the full statement prologue without touching the output:
+blocks stay closures, and only single assignments, binops and element
+loads are generated, so the two runs below differ in how blocks run —
+control flow, completions, stop polls and fallback statements.  They must agree on the output, the exit
 code and the rendered diagnostic with its caret.  Because both runs
 share the generated operator and element code, every program whose
 output does not follow the schedule is also run on the ``coop`` backend,
@@ -40,8 +40,12 @@ from test_fuzz_differential import (
 EXAMPLES = sorted(
     (pathlib.Path(__file__).parent.parent / "examples" / "tetra").glob("*.ttr"))
 
-#: A step budget no test program reaches: it only forces the prologue.
-FULL = {"step_limit": 10**9}
+#: Line profiling: it forces the prologue and leaves the output alone.
+FULL = {"profile": True}
+
+#: A step budget no test program reaches: blocks stay generated, and
+#: their polls count steps.
+BUDGET = {"step_limit": 10**9}
 
 
 def _src(text: str) -> str:
@@ -60,6 +64,7 @@ def outcome(text, backend="sequential", inputs=("12",), **knobs):
 def assert_paths_agree(text, backend="sequential", **knobs):
     generated = outcome(text, backend, **knobs)
     assert generated == outcome(text, backend, **FULL, **knobs), text
+    assert generated == outcome(text, backend, **BUDGET, **knobs), text
     return generated
 
 
@@ -294,7 +299,8 @@ def _generated_sources(text: str, **knobs) -> set[str]:
     return result.output, set(generate._cache)
 
 
-@pytest.mark.parametrize("knobs", [{}, FULL], ids=["lean", "full"])
+@pytest.mark.parametrize("knobs", [{}, FULL, BUDGET],
+                         ids=["lean", "full", "budget"])
 def test_no_program_text_reaches_a_generated_source(knobs):
     output, sources = _generated_sources(HOSTILE, **knobs)
     assert output == '"""); import os\n126\n'

@@ -8,12 +8,15 @@ local array compile to generated Python functions.  These tests pin what that mu
 token and a time limit still end every kind of run promptly, int
 division keeps C's truncation rule and its zero-divisor diagnostic, and
 an out-of-range element access renders the same diagnostic and caret as
-on the full (simulator) path.  They also pin the fixes that ride along:
+on the full (simulator) path.  A step budget is counted at the stop polls
+on every backend, so it ends a run at the same site everywhere, and
+without a budget the polls count nothing.  They also pin the fixes that ride along:
 an aug-assign evaluates its target once, and a real ``**`` or an ``int``
 of an infinite or NaN real reports a Tetra error instead of leaking a
 Python result or exception.
 """
 
+import sys
 import textwrap
 import threading
 import time
@@ -139,6 +142,204 @@ def test_stop_ends_a_run_promptly(shape, backend):
         assert not runner.is_alive(), f"{how} did not end the {shape} program"
         assert len(errors) == 1 and isinstance(errors[0], error), how
         assert message in str(errors[0]), how
+
+
+# ----------------------------------------------------------------------
+# Step budgets: a step is a loop iteration, a parallel for item or a call
+# ----------------------------------------------------------------------
+BUDGET_BACKENDS = ("sequential", "thread", "coop", "sim")
+
+OVER_BUDGET = {
+    "while": ("""
+        def main():
+            while true:
+                pass
+        """, "while true:"),
+    "recursion": ("""
+        def down(n int) int:
+            return down(n + 1)
+
+        def main():
+            print(down(0))
+        """, "down(n + 1)"),
+    "parallel for": ("""
+        def main():
+            parallel for i in [1 ... 4]:
+                n = 0
+                while true:
+                    n += i
+        """, "while true:"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(OVER_BUDGET))
+def test_a_step_budget_ends_a_run_at_the_same_site_everywhere(shape):
+    text, site = OVER_BUDGET[shape]
+    rendered = set()
+    for backend in BUDGET_BACKENDS:
+        result = run_source(_src(text), backend=backend, cache=False,
+                            step_limit=50, num_workers=2, on_error="return")
+        assert isinstance(result.error, TetraLimitError), backend
+        assert result.aborted_by == "steps", backend
+        assert "budget of 50 steps" in result.error.message
+        rendered.add(result.error.render())
+    assert len(rendered) == 1, rendered
+    caret_line = rendered.pop().splitlines()[1]
+    assert caret_line.endswith(site)
+
+
+#: 1 call of main + 2 while iterations + 5 for iterations + 5 calls of
+#: bump + 3 parallel for items; builtins and statements take no step.
+COUNTED = _src("""
+    def bump(x int) int:
+        return x + 1
+
+    def main():
+        k = 0
+        while k < 2:
+            k += 1
+        total = 0
+        for i in [1 ... 5]:
+            total += bump(i)
+        parallel for j in [1 ... 3]:
+            pass
+        print(total, k)
+    """)
+COUNTED_STEPS = 16
+
+
+@pytest.mark.parametrize("backend", BUDGET_BACKENDS)
+def test_a_step_is_an_iteration_an_item_or_a_call(backend):
+    def run(limit):
+        return run_source(COUNTED, backend=backend, cache=False,
+                          step_limit=limit, num_workers=2, on_error="return")
+
+    assert run(COUNTED_STEPS).output == "202\n"
+    assert run(COUNTED_STEPS - 1).aborted_by == "steps"
+
+
+def test_worker_threads_share_one_exact_step_count():
+    """Eight ``parallel for`` workers (more than the cores) count into
+    one counter under a short switch interval; no step is lost."""
+    text = _src("""
+        def spin(n int):
+            k = 0
+            while k < n:
+                k += 1
+
+        def main():
+            parallel for i in [1 ... 8]:
+                spin(200)
+            print("done")
+        """)
+    steps = 1 + 8 + 8 + 8 * 200
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for limit, aborted in ((steps, None), (steps - 1, "steps")):
+            result = run_source(text, backend="thread", cache=False,
+                                step_limit=limit, num_workers=8,
+                                on_error="return")
+            assert result.aborted_by == aborted, limit
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _loop_sources(**knobs) -> list[str]:
+    from repro.interp import generate
+
+    generate._cache.clear()
+    run_source("def main():\n    n = 0\n    while n < 9:\n        n += 1\n"
+               "    print(n)\n", backend="sequential", cache=False, **knobs)
+    sources = [text for text in generate._cache if "while" in text]
+    assert sources
+    return sources
+
+
+def test_only_a_budget_makes_the_loop_poll_count_steps():
+    for knobs in ({}, {"time_limit": 30.0}):
+        for text in _loop_sources(**knobs):
+            assert "_next(" not in text and "_budget" not in text
+            assert "if _i._stopped: raise _i._stop_error(" in text
+    assert all("_next(" in text and "_i._budget" in text
+               for text in _loop_sources(step_limit=10**6))
+
+
+def test_time_limited_runs_start_no_thread_each(monkeypatch):
+    starts = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        starts.append(thread.name)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    for n in range(20):
+        result = run_source(f"def main():\n    for i in [1 ... {n + 5}]:\n"
+                            "        print(i)\n", backend="sequential",
+                            cache=False, time_limit=30.0)
+        assert result.error is None
+    assert len(starts) <= 1, starts
+
+
+def test_concurrent_time_limited_runs_share_the_deadline_thread():
+    """Runs on eight threads arm and disarm deadlines concurrently; each
+    short run finishes, a spinning one still times out, and no deadline
+    stays registered."""
+    from repro.resilience import guard
+
+    outcomes = []
+
+    def runs():
+        for n in range(10):
+            outcomes.append(run_source(
+                f"def main():\n    print({n})\n", backend="sequential",
+                cache=False, time_limit=30.0).output == f"{n}\n")
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=runs) for _ in range(8)]
+        for t in threads:
+            t.start()
+        spin = run_source(_src(STOPPABLE["while"]), backend="sequential",
+                          cache=False, time_limit=0.3, on_error="return")
+        for t in threads:
+            t.join(timeout=60)
+            assert not t.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert outcomes == [True] * 80
+    assert spin.aborted_by == "time"
+    assert not guard._deadlines._due
+
+
+def _spin_with_a_time_limit(conn):
+    result = run_source(_src(STOPPABLE["while"]), backend="sequential",
+                        cache=False, time_limit=0.3, on_error="return")
+    conn.send(result.aborted_by)
+    conn.close()
+
+
+def test_a_time_limit_fires_in_a_forked_child():
+    """The process's deadline thread does not survive ``fork``; a child
+    must start its own rather than wait on the parent's."""
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("needs fork")
+    run_source("def main():\n    print(1)\n", backend="sequential",
+               cache=False, time_limit=30.0)
+    ctx = multiprocessing.get_context("fork")
+    parent, child = ctx.Pipe()
+    proc = ctx.Process(target=_spin_with_a_time_limit, args=(child,))
+    proc.start()
+    try:
+        assert parent.poll(20), "the child's time limit did not fire"
+        assert parent.recv() == "time"
+    finally:
+        proc.kill()
+        proc.join()
 
 
 # ----------------------------------------------------------------------

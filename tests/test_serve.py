@@ -421,6 +421,19 @@ class TestExecutionService:
         finally:
             svc.shutdown()
 
+    def test_time_limit_fires_inside_a_worker_on_the_lean_path(self):
+        # A served run carries a step budget and still runs lean; its time
+        # limit must trip in the forked worker, long before the watchdog.
+        svc = ExecutionService(_cfg(workers=1, watchdog_grace=30.0))
+        try:
+            result = svc.run({"source": SPIN, "backend": "thread",
+                              "time_limit": 0.5})
+            assert result["status"] == "time"
+            assert "time limit of 0.5 seconds" in result["error"]
+            assert svc.pool.stats()["watchdog_kills"] == 0
+        finally:
+            svc.shutdown()
+
     def test_quota_exhaustion_returns_429(self):
         svc = ExecutionService(_cfg(rate=1000.0, burst=1000,
                                     max_concurrent=1))

@@ -49,8 +49,11 @@ def _cfg(**overrides) -> ServeConfig:
 
 def _spin_up(service, source=SPIN):
     """Occupy one worker with an endless run; returns its handle once
-    the run has actually left the queue (a worker pid is assigned)."""
-    handle = service.submit({"source": source, "time_limit": 30.0})
+    the run has actually left the queue (a worker pid is assigned).  The
+    step budget is raised out of reach, as for the other suites' spins:
+    the default one ends a lean spin in about a second."""
+    handle = service.submit({"source": source, "time_limit": 30.0,
+                             "step_limit": 500_000_000})
     deadline = time.monotonic() + 10.0
     while handle.worker_pid is None and time.monotonic() < deadline:
         time.sleep(0.01)
