@@ -26,7 +26,7 @@ by every run, whatever its config.  Runs never write to the shared tree;
 the only things ever attached to it are analyses that are pure functions
 of the program (determinism, the proc plan, the native lowering), so one
 entry serves plain, traced, race-detected, native and simulated runs
-alike.  Per-interpreter state (the closure trees of the fast path, the
+alike.  Per-interpreter state (the compiled functions of the fast path, the
 race detector, the observer) is rebuilt per run, which is a single
 O(nodes) pass.  Pass ``cache=False`` (or ``tetra run --no-cache``) to
 bypass it, e.g. when benchmarking the front end itself.

@@ -417,79 +417,6 @@ def _reset_for_tests() -> None:
 
 
 # ----------------------------------------------------------------------
-# Guard watcher: interrupts hot C loops from the Python side
-# ----------------------------------------------------------------------
-class _Watcher:
-    """Polls the run's ExecutionGuard while a C kernel is executing.
-
-    C kernels release the GIL, so time limits and cancellation cannot
-    fire at Tetra statement boundaries the way they do in the
-    interpreter.  Instead, each in-flight kernel registers its ``tt_ctx``
-    here; a lazy daemon thread polls the guard every ~20ms and, when it
-    raises, stores the exception and sets ``ctx.stop`` — which every C
-    loop back-edge checks — so the kernel unwinds within ~1024
-    iterations and the stored exception is re-raised in the caller.
-    """
-
-    _POLL_SECONDS = 0.02
-    _LINGER_SECONDS = 0.25
-
-    def __init__(self, interp):
-        self.interp = interp
-        self._cond = threading.Condition()
-        self._entries: dict[int, list] = {}  # token -> [cctx, ctx, span, exc]
-        self._next_token = 0
-        self._thread = None
-
-    def watch(self, cctx, ctx, span) -> int:
-        with self._cond:
-            token = self._next_token
-            self._next_token += 1
-            self._entries[token] = [cctx, ctx, span, None]
-            if self._thread is None or not self._thread.is_alive():
-                self._thread = threading.Thread(
-                    target=self._loop, name="tetra-native-watcher", daemon=True
-                )
-                self._thread.start()
-            self._cond.notify_all()
-            return token
-
-    def unwatch(self, token: int):
-        """Deregister; returns the guard exception caught mid-kernel, if any."""
-        with self._cond:
-            entry = self._entries.pop(token, None)
-            return entry[3] if entry is not None else None
-
-    def _loop(self) -> None:
-        guard = self.interp._guard
-        idle_rounds = int(self._LINGER_SECONDS / self._POLL_SECONDS)
-        idle = 0
-        while True:
-            with self._cond:
-                if not self._entries:
-                    idle += 1
-                    if idle > idle_rounds:
-                        self._thread = None
-                        return
-                    self._cond.wait(self._POLL_SECONDS)
-                    continue
-                idle = 0
-                entries = list(self._entries.values())
-            for entry in entries:
-                cctx, ctx, span, exc = entry
-                if exc is not None:
-                    continue
-                try:
-                    guard.check(ctx, span)
-                except Exception as caught:
-                    with self._cond:
-                        entry[3] = caught
-                        cctx.stop = 1
-            with self._cond:
-                self._cond.wait(self._POLL_SECONDS)
-
-
-# ----------------------------------------------------------------------
 # C emission
 # ----------------------------------------------------------------------
 class _ScalarRef:
@@ -1661,7 +1588,6 @@ class NativeRun:
         #: This program's own lowering (``module`` may have been loaded
         #: for another tree that lowered to the same C source).
         self.lowering = lowering
-        self._watcher: _Watcher | None = None
         self._bypass = _Bypass()
 
     # -- core C call with error/interrupt/deopt protocol ---------------
@@ -1675,26 +1601,27 @@ class NativeRun:
         cctx.max_depth = min(self.interp.config.recursion_limit,
                              depth + C_DEPTH_CAP)
         guard = self.interp._guard
-        token = None
+        disarm = None
         if guard is not None:
-            if self._watcher is None:
-                self._watcher = _Watcher(self.interp)
-            token = self._watcher.watch(cctx, ctx, span)
+            # C kernels release the GIL and never reach a statement
+            # boundary: the guard's deadline thread or the cancelling
+            # thread sets the flag every loop back-edge and function entry
+            # polls, and the kernel unwinds within ~1024 iterations.
+            def trip():
+                cctx.stop = 1
+
+            disarm = guard.watch(trip)
         try:
-            # cffi releases the GIL around the call: other Python threads
-            # (including the guard watcher) keep running.
             ret = func(cctx, depth, *cargs)
         finally:
-            stored = (self._watcher.unwatch(token)
-                      if token is not None else None)
-        if stored is not None:
-            raise stored
+            if disarm is not None:
+                disarm()
+        if cctx.stop:
+            raise guard.error(span)
         if cctx.err:
             self.state.note_deopt(cctx.err_line,
                                   _DEOPT_CAUSES[cctx.err - 1][1])
             return _DEOPT
-        if cctx.stop and guard is not None:
-            guard.check(ctx, span)
         return ret
 
     @staticmethod
@@ -1887,8 +1814,8 @@ class NativeRun:
 def _run_block_reason(interp) -> str:
     """Why this run cannot use native kernels at all ('' if it can).
 
-    Time limits and cancellation are deliberately *not* here — the
-    watcher thread interrupts C kernels for them (see _Watcher).
+    Time limits and cancellation are deliberately *not* here — the guard's
+    watch interrupts C kernels for them (see ``NativeRun._call``).
     """
     cfg = interp.config
     backend_name = getattr(interp.backend, "name", "")

@@ -1,4 +1,4 @@
-"""The Tetra interpreter: programs run as the closure trees
+"""The Tetra interpreter: programs run as the generated functions
 :mod:`repro.interp.compile` builds from their checked ASTs."""
 
 from .compile import CompiledProgram, compile_program

@@ -1,13 +1,13 @@
-"""AST→closure compilation: how the interpreter runs a program.
+"""AST compilation: how the interpreter runs a program.
 
 The paper's interpreter runs a program by traversing its AST recursively.
-This module does that traversal **once** per program: it walks each
-type-checked function body and emits a tree of Python closures — one per
-statement and expression — with everything that is knowable at compile
-time bound into the closure:
+This module does that traversal **once** per program: every function body
+becomes a generated Python function written by
+:mod:`repro.interp.generate`, the one statement compiler, with everything
+that is knowable at compile time bound in:
 
-* **Operator specialization.**  ``a / b`` on two ``int`` operands becomes a
-  closure that calls :func:`int_div` directly; on reals it calls
+* **Operator specialization.**  ``a / b`` on two ``int`` operands becomes
+  the truncating rule of :func:`int_div`; on reals it calls
   :func:`real_div`.  The checker's ``ty`` annotations drive the choice, so
   execution never re-discovers operand types.
 * **Callee resolution.**  A call site binds the target function's
@@ -23,36 +23,36 @@ time bound into the closure:
   — a statement compiles to its bare core: nothing there reads a
   statement span, and the stop flag is polled at loop back-edges and on
   function entry instead (under a step budget those polls count the
-  steps, on every backend).  Without cost accounting or race detection,
-  assignments, ``op=``, binops and element loads on a local array compile
-  to generated Python functions (:mod:`repro.interp.generate`) with their
-  operands inlined, and a lean compile goes further: each block becomes
-  one generated function that calls closures only for what its
-  vocabulary leaves out.  The
-  coop scheduler and the virtual-time simulator get the full prologue —
-  stop flag, guardrail, span, checkpoint, profile hit, statement charge
-  — so stepping and simulated makespans follow every statement.
+  steps, on every backend).  The coop scheduler and the virtual-time
+  simulator get the full prologue — stop flag, guardrail, span,
+  checkpoint, profile hit, statement charge — written before every
+  statement, so stepping and simulated makespans follow every statement.
 * **Completion values.**  A statement returns ``None``, ``BREAK``,
   ``CONTINUE`` or a returned value instead of raising (see
   :mod:`repro.interp.control`), so ``return`` costs no exception.
 * **Race detection, compiled in.**  With ``detect_races`` on, every shared
   access site — a name load or store, an array/dict element load or store,
-  a field load or store — compiles with a hook that feeds the
+  a field load or store — carries a note that feeds the
   :class:`~repro.analysis.races.RaceDetector` (and the simulator's trace)
   after the access's charge and type check and before the access itself,
   and ``lock`` bodies report acquire/release inside the held lock.  With
-  detection off no closure carries a hook or a test for one.
+  detection off no code carries a note or a test for one.
 
-Spans ride along in every closure that can raise, so diagnostics render
-the same caret on every backend; per-statement checkpoints and span
-stores keep the debugger's independent stepping and backtraces working.
+This module keeps the invokers (the calling convention) and closures for
+what the writer leaves out: builtins, constructors, method calls, fields,
+dict and string elements, collection literals, ``lock``, ``try``, the
+parallel constructs, ``Unpack``, ``Declare`` and an ``op=`` whose field or
+element target holds a call.  Their operands are generated again.
+
+Spans ride along in all code that can raise, so diagnostics render the
+same caret on every backend; per-statement checkpoints and span stores
+keep the debugger's independent stepping and backtraces working.
 ``tests/test_exec_golden.py`` pins what every bundled program does on the
 deterministic backends, with detection off and on.
 """
 
 from __future__ import annotations
 
-import operator
 from typing import Callable
 
 from ..errors import (
@@ -63,44 +63,27 @@ from ..errors import (
 )
 from ..tetra_ast import (
     ArrayLiteral,
-    Assign,
     Attribute,
     AugAssign,
     BackgroundBlock,
     BinaryOp,
-    BinOp,
     Block,
-    BoolLiteral,
-    Break,
     Call,
-    Continue,
     Declare,
     DictLiteral,
     Expr,
-    ExprStmt,
-    For,
-    If,
     Index,
-    IntLiteral,
     LockStmt,
     MethodCall,
     Name,
     ParallelBlock,
     ParallelFor,
-    Pass,
     RangeLiteral,
-    RealLiteral,
-    Return,
     Stmt,
-    StringLiteral,
     TryStmt,
     TupleLiteral,
-    Unary,
-    UnaryOp,
     Unpack,
-    While,
     unparse,
-    walk,
     walk_statements,
 )
 from ..types import (
@@ -110,7 +93,6 @@ from ..types import (
     ClassType,
     DictType,
     IntType,
-    RealType,
     StringType,
     TupleType,
     from_type_expr,
@@ -126,12 +108,13 @@ from ..runtime import (
 )
 from ..runtime.values import TetraArray, TetraDict, TetraObject, TetraTuple
 from ..stdlib.registry import BUILTINS
-from .control import BREAK, CONTINUE, RETURN
 from .generate import (
     checked_applier,
     generate_block,
-    generate_expr,
-    generate_stmt,
+    generate_store,
+    generate_value,
+    missing,
+    widening,
 )
 
 #: A compiled statement: runs for effect and returns its completion (see
@@ -145,7 +128,7 @@ Invoker = Callable[[list, object, object], object]
 
 
 class CompiledProgram:
-    """The closure trees for one program, bound to one interpreter.
+    """The compiled functions of one program, bound to one interpreter.
 
     ``functions`` maps a function name to its invoker; ``methods`` maps
     ``(class_name, method_name)``.  Invokers own the whole calling
@@ -171,9 +154,9 @@ class CompiledProgram:
 
         ``private`` names the bindings that may be thread-private where
         the fragment runs; the fragment's own ``parallel for`` variables
-        are added.  Returns a block or statement closure (run for effect)
-        or an expression closure (returns the value), each taking a
-        :class:`ThreadContext`.
+        are added.  Returns a block or statement function (run for
+        effect) or an expression function (returns the value), each taking
+        a :class:`ThreadContext`.
         """
         comp = _Compiler(self.interp)
         comp._invokers = self.functions
@@ -198,48 +181,15 @@ def parallel_for_vars(node) -> frozenset[str]:
                      if isinstance(n, ParallelFor))
 
 
-def _missing(node, what: str) -> TetraInternalError:
-    """The checker failed to annotate a node the fast path depends on."""
-    return TetraInternalError(
-        f"the checker left {what} untyped at {node.span} — "
-        "was this program type-checked?",
-        node.span,
-    )
-
-
-def _widening(ty):
-    """The type a stored value must be coerced to — a real or tuple slot —
-    or None where it binds unchanged."""
-    return ty if isinstance(ty, (RealType, TupleType)) else None
-
-
 def _no_note(ctx, key, display, span, pin) -> None:
     """The race note of a run without a race detector."""
 
 
-#: Leaf literal nodes whose value can be bound into the parent's closure.
-_LITERAL_NODES = (IntLiteral, RealLiteral, StringLiteral, BoolLiteral)
-
-#: Operators whose Python spelling is total on checked operands (no span
-#: needed at runtime), as C-level functions — calling one adds no Python
-#: frame, which is what makes operand inlining pay off.
-_OPERATOR_FUNCS = {
-    BinaryOp.ADD: operator.add,
-    BinaryOp.SUB: operator.sub,
-    BinaryOp.MUL: operator.mul,
-    BinaryOp.EQ: operator.eq,
-    BinaryOp.NE: operator.ne,
-    BinaryOp.LT: operator.lt,
-    BinaryOp.LE: operator.le,
-    BinaryOp.GT: operator.gt,
-    BinaryOp.GE: operator.ge,
-}
-
 class _Compiler:
     """Compiles one program for one :class:`Interpreter` instance.
 
-    The closures bind the interpreter's backend, io channel, and cost
-    model, which is what makes them fast — and what ties a compiled
+    The compiled code binds the interpreter's backend, io channel, and
+    cost model, which is what makes it fast — and what ties a compiled
     program to its interpreter.  Compilation itself is a single O(nodes)
     walk, so rebinding per run is cheap; the expensive lex/parse/check
     work is what the :mod:`repro.api` program cache memoizes.
@@ -257,15 +207,19 @@ class _Compiler:
         #: sites that poll the stop flag count a step each (see
         #: :meth:`Interpreter._stop_error`).
         self.steps = interp._steps if interp.config.step_limit else None
+        #: The backend's cost charge, bound once (called only under cost
+        #: accounting, which only the simulator does).
+        self.charge = self.backend.charge
         # Backends that don't observe checkpoint() never see it skipped;
         # dropping the call saves a method call per statement on the thread
         # and sequential backends.  Asked of the *instance* (not the class)
         # because those backends only observe checkpoints while a schedule
         # recorder is attached.
-        self.need_checkpoint = self.backend.wants_checkpoints()
+        self._checkpoint = (self.backend.checkpoint
+                            if self.backend.wants_checkpoints() else None)
         obs = interp._obs
         self._obs = obs
-        #: Per-line profile hook; bound once so run_full pays a None test.
+        #: Per-line profile hook, bound once; None unless profiling.
         self._line_hit = (obs.line_hit
                           if obs is not None and obs.profile else None)
         #: Guardrail check (cancel token / time limit / chaos preemption)
@@ -281,16 +235,16 @@ class _Compiler:
         #: The race detector, or None; only a detector makes shared-access
         #: sites compile with hooks.
         self.race = interp._race
-        self.lean = not (self.acc or self.need_checkpoint
+        #: The read and write notes (indexed by ``is_write``) under race
+        #: detection, built once.
+        self.race_notes = ((self._race_note(False), self._race_note(True))
+                           if self.race is not None else None)
+        #: True when statements run bare, without the per-statement
+        #: prologue: no cost accounting, checkpoints or profile hits, and a
+        #: guard the stop flag can carry.
+        self.lean = not (self.acc or self._checkpoint is not None
                          or self._line_hit is not None
                          or (guard is not None and guard.per_statement))
-        #: Without cost accounting or race hooks, assignments, ``op=``,
-        #: binops and local element loads compile to generated functions
-        #: (:mod:`repro.interp.generate`): one module owns their int ``/``
-        #: and ``%`` fast path, inline bounds test and operand order.
-        self.inline = not self.acc and self.race is None
-        #: Lean blocks without race hooks run as generated functions too.
-        self.generate = self.lean and self.inline
         self._invokers: dict[str, Invoker] = {}
         self._method_invokers: dict[tuple[str, str], Invoker] = {}
         #: Names that *can* be thread-private in the function currently
@@ -346,13 +300,13 @@ class _Compiler:
         param_names = sig.param_names
         # coerce_to only acts on real and tuple targets; every other
         # parameter binds without the call.
-        param_coerce = tuple(_widening(ty) for ty in sig.param_types)
+        param_coerce = tuple(widening(ty) for ty in sig.param_types)
         simple_params = not any(param_coerce)
         return_type = sig.return_type
         is_void = return_type is VOID
-        ret_coerce = not is_void and _widening(return_type) is not None
+        ret_coerce = not is_void and widening(return_type) is not None
         acc = self.acc
-        charge = self.backend.charge
+        charge = self.charge
         call_units = self.cost.call_overhead
         steps = self.steps
 
@@ -423,127 +377,28 @@ class _Compiler:
     # Statements
     # ------------------------------------------------------------------
     def block(self, body: Block) -> StmtRun:
-        if self.generate:
-            run = generate_block(self, body)
-            if run is not None:
-                return run
-        runs = tuple(self.stmt(s) for s in body.statements)
-        if len(runs) == 1:
-            return runs[0]
-        if len(runs) == 2:
-            first, second = runs
-
-            def run_pair(ctx):
-                completion = first(ctx)
-                if completion is not None:
-                    return completion
-                return second(ctx)
-
-            return run_pair
-
-        def run_block(ctx):
-            for run in runs:
-                completion = run(ctx)
-                if completion is not None:
-                    return completion
-
-        return run_block
+        return generate_block(self, body.statements)
 
     def stmt(self, s: Stmt) -> StmtRun:
+        return generate_block(self, (s,))
+
+    def fallback_stmt(self, s: Stmt) -> StmtRun:
+        """The closure for a statement outside the writer's vocabulary,
+        without its prologue (the generated code around it has that)."""
         try:
             builder = _STMT_BUILDERS[type(s)]
         except KeyError:  # pragma: no cover - parser emits no other kinds
             raise TetraInternalError(
                 f"fast path has no compiler for {type(s).__name__}", s.span
             ) from None
-        core = builder(self, s)
-        return core if self.lean else self._wrap(s, core)
-
-    def _wrap(self, s: Stmt, core: StmtRun) -> StmtRun:
-        """Attach the full per-statement prologue: stop flag, guardrail,
-        current span, checkpoint, profile hit and charge.
-
-        Lean backends run the bare core: nothing on them reads the span,
-        and their loop back-edges and function entries poll the stop flag.
-        The step budget is counted at those polls on every backend.
-        """
-        interp = self.interp
-        span = s.span
-        checkpoint = self.backend.checkpoint if self.need_checkpoint else None
-        charge = self.backend.charge
-        acc = self.acc
-        units = self.cost.statement
-        line_hit = self._line_hit
-        guard_check = self._guard_check
-        line = span.line
-
-        def run_full(ctx):
-            if interp._stopped:
-                raise interp._stop_error(span)
-            if guard_check is not None:
-                guard_check(ctx, span)
-            stack = ctx.call_stack
-            if stack:
-                stack[-1].current_span = span
-            if checkpoint is not None:
-                checkpoint(ctx, s)
-            if line_hit is not None:
-                line_hit(ctx.id, line)
-            if acc:
-                charge(ctx, units)
-            return core(ctx)
-
-        return run_full
+        return builder(self, s)
 
     # -- simple statements -------------------------------------------------
-    def _stmt_expr(self, s: ExprStmt) -> StmtRun:
-        value_fn = self.expr(s.expr)
-
-        def run(ctx):
-            value_fn(ctx)  # the value is discarded; the statement completes
-
-        return run
-
-    def _stmt_assign(self, s: Assign) -> StmtRun:
-        if self.inline:
-            run = generate_stmt(self, s)
-            if run is not None:
-                return run
-        value_fn = self.expr(s.value)
-        store = self._store(s.target)
-
-        def run(ctx):
-            store(ctx, value_fn(ctx))
-
-        return run
-
-    def _stmt_aug_assign(self, s: AugAssign) -> StmtRun:
-        if self.inline:
-            run = generate_stmt(self, s)
-            if run is not None:
-                return run
-        target = s.target
-        apply = self._binop_apply(s.op, target.ty, s.value.ty, s.span, s)
-        if isinstance(target, (Index, Attribute)) and any(
-                isinstance(n, (Call, MethodCall)) for n in walk(target)):
-            return self._aug_assign_once(s, apply)
-        # A call-free target is evaluated twice, for the load and for the
-        # store; only the accounting backends' bill can tell.
-        target_fn = self.expr(target)
-        value_fn = self.expr(s.value)
-        store = self._store(target)
-
-        def run(ctx):
-            current = target_fn(ctx)
-            operand = value_fn(ctx)
-            store(ctx, apply(current, operand))
-
-        return run
-
-    def _aug_assign_once(self, s: AugAssign, apply) -> StmtRun:
-        """``t[k] op= v`` or ``o.f op= v`` whose target contains a call: the
-        target's base and index are evaluated once, and the element's load
-        and store share them, each with its charge and race note."""
+    def _aug_assign_once(self, s: AugAssign) -> StmtRun:
+        """``t[k] op= v`` or ``o.f op= v`` whose target contains a call (the
+        writer runs every other ``op=``): the target's base and index are
+        evaluated once, and the element's load and store share them, each
+        with its charge and race note."""
         target = s.target
         base_fn = self.expr(target.base)
         if isinstance(target, Attribute):
@@ -552,17 +407,18 @@ class _Compiler:
         else:
             key_fn = self.expr(target.index)
         value_fn = self.expr(s.value)
+        apply = self._binop_apply(s.op, target.ty, s.value.ty, s.span, s)
         span = target.span
         is_field = isinstance(target, Attribute)
         prefix = unparse(target.base)
         err = self.interp._err
         acc = self.acc
-        charge = self.backend.charge
+        charge = self.charge
         load_units = self.cost.index_load
         store_units = self.cost.index_store
         read = write = _no_note
         if self.race is not None:
-            read, write = self._race_note(False), self._race_note(True)
+            read, write = self.race_notes
 
         def run(ctx):
             base = base_fn(ctx)
@@ -616,22 +472,6 @@ class _Compiler:
 
         return run
 
-    def _stmt_return(self, s: Return) -> StmtRun:
-        if s.value is None:
-            return lambda ctx: RETURN
-        # No Tetra value is None, so the value closure is its own
-        # completion.
-        return self.expr(s.value)
-
-    def _stmt_break(self, s: Break) -> StmtRun:
-        return lambda ctx: BREAK
-
-    def _stmt_continue(self, s: Continue) -> StmtRun:
-        return lambda ctx: CONTINUE
-
-    def _stmt_pass(self, s: Pass) -> StmtRun:
-        return lambda ctx: None
-
     def _stmt_try(self, s: TryStmt) -> StmtRun:
         body = self.block(s.body)
         handler = self.block(s.handler)
@@ -645,112 +485,6 @@ class _Compiler:
                     raise
                 ctx.env.set(error_name, exc.message)
                 return handler(ctx)
-
-        return run
-
-    # -- control flow ------------------------------------------------------
-    # A loop consumes BREAK and CONTINUE and passes any other completion
-    # (a return) up; every loop polls the stop flag at its back-edge, and
-    # counts a step there under a budget.
-    def _stmt_if(self, s: If) -> StmtRun:
-        cond = self.expr(s.cond)
-        then = self.block(s.then)
-        elifs = tuple(
-            (self.expr(c.cond), self.block(c.body)) for c in s.elifs
-        )
-        orelse = self.block(s.orelse) if s.orelse is not None else None
-        acc = self.acc
-        if not acc and not elifs:
-            if orelse is None:
-                def run_then(ctx):
-                    if cond(ctx):
-                        return then(ctx)
-
-                return run_then
-
-            def run_else(ctx):
-                if cond(ctx):
-                    return then(ctx)
-                return orelse(ctx)
-
-            return run_else
-        charge = self.backend.charge
-        units = self.cost.branch
-
-        def run_general(ctx):
-            if acc:
-                charge(ctx, units)
-            if cond(ctx):
-                return then(ctx)
-            for clause_cond, clause_body in elifs:
-                if clause_cond(ctx):
-                    return clause_body(ctx)
-            if orelse is not None:
-                return orelse(ctx)
-
-        return run_general
-
-    def _stmt_while(self, s: While) -> StmtRun:
-        interp = self.interp
-        span = s.span
-        cond = self.expr(s.cond)
-        body = self.block(s.body)
-        acc = self.acc
-        charge = self.backend.charge
-        units = self.cost.loop_iteration
-        steps = self.steps
-
-        def run(ctx):
-            while True:
-                if acc:
-                    charge(ctx, units)
-                if not cond(ctx):
-                    return None
-                if (interp._stopped if steps is None
-                        else next(steps) > interp._budget):
-                    raise interp._stop_error(span)
-                completion = body(ctx)
-                if completion is not None:
-                    if completion is BREAK:
-                        return None
-                    if completion is not CONTINUE:
-                        return completion
-
-        return run
-
-    def _stmt_for(self, s: For) -> StmtRun:
-        interp = self.interp
-        iterable_fn = self.expr(s.iterable)
-        body = self.block(s.body)
-        var = s.var
-        span = s.span
-        iterate = interp._iterate
-        private = var in self._induction
-        acc = self.acc
-        charge = self.backend.charge
-        units = self.cost.loop_iteration
-        steps = self.steps
-
-        def run(ctx):
-            items = iterate(iterable_fn(ctx), span)
-            env = ctx.env
-            fvars = env.frame.vars
-            for item in items:
-                if acc:
-                    charge(ctx, units)
-                if (interp._stopped if steps is None
-                        else next(steps) > interp._budget):
-                    raise interp._stop_error(span)
-                if private:
-                    env.set(var, item)
-                else:
-                    fvars[var] = item
-                completion = body(ctx)
-                if completion is not None:
-                    if completion is BREAK:
-                        return None
-                    if completion is not CONTINUE:
-                        return completion
 
         return run
 
@@ -871,46 +605,23 @@ class _Compiler:
     # Assignment targets
     # ------------------------------------------------------------------
     def _store(self, target: Expr) -> Callable[[object, object], None]:
+        """``store(ctx, value)`` for an assignment target: generated for a
+        name or an array element, a closure for a field or a dict
+        element."""
         interp = self.interp
         acc = self.acc
-        charge = self.backend.charge
-        if isinstance(target, Name):
-            name = target.id
-            ty = target.ty
-            if ty is None:
-                raise _missing(target, f"assignment target '{name}'")
-            widen = _widening(ty)
-            if self.race is not None:
-                return self._race_store_name(target, widen)
-            units = self.cost.name_store
-            if name in self._induction:
-                def store(ctx, value):
-                    if acc:
-                        charge(ctx, units)
-                    ctx.env.set(
-                        name, coerce_to(value, widen) if widen else value
-                    )
-            elif widen is not None:
-                def store(ctx, value):
-                    if acc:
-                        charge(ctx, units)
-                    ctx.env.frame.vars[name] = coerce_to(value, widen)
-            elif acc:
-                def store(ctx, value):
-                    charge(ctx, units)
-                    ctx.env.frame.vars[name] = value
-            else:
-                def store(ctx, value):
-                    ctx.env.frame.vars[name] = value
-            return store
+        charge = self.charge
+        span = target.span
+        units = self.cost.index_store
+        if isinstance(target, Name) or (isinstance(target, Index) and
+                                        isinstance(target.base.ty,
+                                                   ArrayType)):
+            return generate_store(self, target)
 
+        note = self.race_notes[True] if self.race is not None else None
         if isinstance(target, Attribute):
-            if self.race is not None:
-                return self._race_store_attribute(target)
             base_fn = self.expr(target.base)
             attr = target.attr
-            span = target.span
-            units = self.cost.index_store
 
             def store_attr(ctx, value):
                 base = base_fn(ctx)
@@ -921,34 +632,34 @@ class _Compiler:
                         TetraRuntimeError,
                         "only class instances have fields", span,
                     )
+                if note is not None:
+                    note(ctx, (id(base), attr), f"{base.class_name}.{attr}",
+                         span, base)
                 base.set(attr, value, span)
 
             return store_attr
 
         if isinstance(target, Index):
-            if self.race is not None:
-                return self._race_store_index(target)
             base_fn = self.expr(target.base)
             index_fn = self.expr(target.index)
-            span = target.span
-            units = self.cost.index_store
+            prefix = unparse(target.base)
 
             def store_index(ctx, value):
                 base = base_fn(ctx)
                 index = index_fn(ctx)
                 if acc:
                     charge(ctx, units)
-                if isinstance(base, TetraDict):
-                    base.set(index, coerce_to(value, base.value_type))
-                    return
-                if not isinstance(base, TetraArray):
+                if not isinstance(base, TetraDict):
                     raise interp._err(
                         TetraRuntimeError,
                         "only array and dict elements can be assigned "
                         "through an index (strings are immutable)",
                         span,
                     )
-                base.set(index, coerce_to(value, base.element_type), span)
+                if note is not None:
+                    note(ctx, (id(base), index), f"{prefix}[{index!r}]",
+                         span, base)
+                base.set(index, coerce_to(value, base.value_type))
 
             return store_index
 
@@ -956,28 +667,15 @@ class _Compiler:
             f"bad assignment target {type(target).__name__}"
         )
 
-    def _local_name(self, e: Expr) -> str | None:
-        """The id of a name whose reads and writes may go straight to the
-        frame dict: provably shared, with no race hook to feed."""
-        if (type(e) is Name and self.race is None
-                and e.id not in self._induction):
-            return e.id
-        return None
-
-    def _plain_local(self, target: Expr) -> str | None:
-        """The id of an assignment target a lean backend stores straight
-        into the frame: a local name whose type needs no widening."""
-        name = self._local_name(target)
-        if name is None or self.acc:
-            return None
-        if target.ty is None:
-            raise _missing(target, f"assignment target '{name}'")
-        return name if _widening(target.ty) is None else None
-
     # ------------------------------------------------------------------
     # Expressions
     # ------------------------------------------------------------------
     def expr(self, e: Expr) -> ExprRun:
+        return generate_value(self, e)
+
+    def fallback_expr(self, e: Expr) -> ExprRun:
+        """The closure for an expression outside the writer's
+        vocabulary."""
         try:
             builder = _EXPR_BUILDERS[type(e)]
         except KeyError:  # pragma: no cover - parser emits no other kinds
@@ -985,62 +683,6 @@ class _Compiler:
                 f"fast path has no compiler for {type(e).__name__}", e.span
             ) from None
         return builder(self, e)
-
-    def _expr_literal(self, e) -> ExprRun:
-        value = e.value
-        if not self.acc:
-            return lambda ctx: value
-        charge = self.backend.charge
-        units = self.cost.literal
-
-        def run(ctx):
-            charge(ctx, units)
-            return value
-
-        return run
-
-    def _expr_name(self, e: Name) -> ExprRun:
-        if self.race is not None:
-            return self._race_name(e)
-        name = e.id
-        if name in self._induction:
-            if not self.acc:
-                return lambda ctx: ctx.env.get(name)
-            charge = self.backend.charge
-            units = self.cost.name_load
-
-            def run_private(ctx):
-                charge(ctx, units)
-                return ctx.env.get(name)
-
-            return run_private
-
-        if not self.acc:
-            def run(ctx):
-                try:
-                    return ctx.env.frame.vars[name]
-                except KeyError:
-                    raise TetraInternalError(
-                        f"variable '{name}' read before any assignment in "
-                        f"{ctx.env.frame.function_name}"
-                    ) from None
-
-            return run
-
-        charge = self.backend.charge
-        units = self.cost.name_load
-
-        def run_acc(ctx):
-            charge(ctx, units)
-            try:
-                return ctx.env.frame.vars[name]
-            except KeyError:
-                raise TetraInternalError(
-                    f"variable '{name}' read before any assignment in "
-                    f"{ctx.env.frame.function_name}"
-                ) from None
-
-        return run_acc
 
     def _with_heap(self, run: ExprRun, span) -> ExprRun:
         """Wrap an allocation site with the memory-limit meter (no-op —
@@ -1060,34 +702,30 @@ class _Compiler:
     def _expr_array_literal(self, e: ArrayLiteral) -> ExprRun:
         ty = e.ty
         if not isinstance(ty, ArrayType):
-            raise _missing(e, "an array literal")
+            raise missing(e, "an array literal")
         element_ty = ty.element
         elem_fns = tuple(self.expr(x) for x in e.elements)
-        if not self.acc:
-            def run(ctx):
-                return make_array([f(ctx) for f in elem_fns], element_ty)
-
-            return self._with_heap(run, e.span)
-
-        charge = self.backend.charge
+        acc = self.acc
+        charge = self.charge
         units = self.cost.array_element * max(1, len(elem_fns))
 
-        def run_acc(ctx):
+        def run(ctx):
             values = [f(ctx) for f in elem_fns]
-            charge(ctx, units)
+            if acc:
+                charge(ctx, units)
             return make_array(values, element_ty)
 
-        return self._with_heap(run_acc, e.span)
+        return self._with_heap(run, e.span)
 
     def _expr_tuple_literal(self, e: TupleLiteral) -> ExprRun:
         ty = e.ty
         if not isinstance(ty, TupleType):
-            raise _missing(e, "a tuple literal")
+            raise missing(e, "a tuple literal")
         elem_fns = tuple(self.expr(x) for x in e.elements)
-        widen = tuple(_widening(t) for t in ty.elements)
+        widen = tuple(widening(t) for t in ty.elements)
         simple = not any(widen)
         acc = self.acc
-        charge = self.backend.charge
+        charge = self.charge
         units = self.cost.array_element * len(elem_fns)
 
         def run(ctx):
@@ -1107,13 +745,13 @@ class _Compiler:
     def _expr_dict_literal(self, e: DictLiteral) -> ExprRun:
         ty = e.ty
         if not isinstance(ty, DictType):
-            raise _missing(e, "a dict literal")
+            raise missing(e, "a dict literal")
         entry_fns = tuple(
             (self.expr(k), self.expr(v)) for k, v in e.entries
         )
         key_ty, value_ty = ty.key, ty.value
         acc = self.acc
-        charge = self.backend.charge
+        charge = self.charge
         per_element = self.cost.array_element
 
         def run(ctx):
@@ -1131,7 +769,7 @@ class _Compiler:
         start_fn = self.expr(e.start)
         stop_fn = self.expr(e.stop)
         acc = self.acc
-        charge = self.backend.charge
+        charge = self.charge
         per_element = self.cost.array_element
 
         def run(ctx):
@@ -1143,39 +781,35 @@ class _Compiler:
         return self._with_heap(run, e.span)
 
     def _expr_index(self, e: Index) -> ExprRun:
-        if self.race is not None and isinstance(e.base.ty,
-                                                (ArrayType, DictType)):
-            return self._race_index(e)
+        # Array elements are generated; dicts, tuples and strings are here.
         base_ty = e.base.ty
         acc = self.acc
-        if (self.inline and isinstance(base_ty, ArrayType)
-                and self._local_name(e.base) is not None):
-            run = generate_expr(self, e)
-            if run is not None:
-                return run
         interp = self.interp
         base_fn = self.expr(e.base)
         index_fn = self.expr(e.index)
         span = e.span
-        charge = self.backend.charge
+        charge = self.charge
         units = self.cost.index_load
 
-        if isinstance(base_ty, (ArrayType, DictType, TupleType)):
-            # Arrays, dicts, and tuples share the get(index, span) protocol;
-            # the static type tells us no other value can appear here.
-            if not acc:
-                def run(ctx):
-                    return base_fn(ctx).get(index_fn(ctx), span)
+        if isinstance(base_ty, (DictType, TupleType)):
+            # Dicts and tuples share the get(index, span) protocol; the
+            # static type tells us no other value can appear here.
+            note = (self.race_notes[False]
+                    if self.race is not None and isinstance(base_ty, DictType)
+                    else None)
+            prefix = unparse(e.base)
 
-                return run
-
-            def run_acc(ctx):
+            def run(ctx):
                 base = base_fn(ctx)
                 index = index_fn(ctx)
-                charge(ctx, units)
+                if acc:
+                    charge(ctx, units)
+                if note is not None:
+                    note(ctx, (id(base), index), f"{prefix}[{index!r}]",
+                         span, base)
                 return base.get(index, span)
 
-            return run_acc
+            return run
 
         if isinstance(base_ty, StringType):
             def run_str(ctx):
@@ -1194,18 +828,17 @@ class _Compiler:
 
             return run_str
 
-        raise _missing(e.base, "an indexed expression")
+        raise missing(e.base, "an indexed expression")
 
     def _expr_attribute(self, e: Attribute) -> ExprRun:
-        if self.race is not None:
-            return self._race_attribute(e)
         interp = self.interp
         base_fn = self.expr(e.base)
         attr = e.attr
         span = e.span
         acc = self.acc
-        charge = self.backend.charge
+        charge = self.charge
         units = self.cost.index_load
+        note = self.race_notes[False] if self.race is not None else None
 
         def run(ctx):
             base = base_fn(ctx)
@@ -1216,6 +849,9 @@ class _Compiler:
                     TetraRuntimeError, "only class instances have fields",
                     span,
                 )
+            if note is not None:
+                note(ctx, (id(base), attr), f"{base.class_name}.{attr}",
+                     span, base)
             return base.get(attr, span)
 
         return run
@@ -1224,7 +860,7 @@ class _Compiler:
         interp = self.interp
         base_ty = e.base.ty
         if not isinstance(base_ty, ClassType):
-            raise _missing(e.base, "a method-call receiver")
+            raise missing(e.base, "a method-call receiver")
         invoke = self._method_invokers.get((base_ty.name, e.method))
         if invoke is None:
             raise TetraInternalError(
@@ -1247,23 +883,10 @@ class _Compiler:
         return run
 
     def _expr_call(self, e: Call) -> ExprRun:
+        # Calls to Tetra functions are generated; constructors and
+        # builtins are here.
         arg_fns = tuple(self.expr(a) for a in e.args)
         span = e.span
-
-        invoke = self._invokers.get(e.func)
-        if invoke is not None:
-            if len(arg_fns) == 1:
-                arg0 = arg_fns[0]
-
-                def run1(ctx):
-                    return invoke([arg0(ctx)], ctx, span)
-
-                return run1
-
-            def run(ctx):
-                return invoke([f(ctx) for f in arg_fns], ctx, span)
-
-            return run
 
         info = self.symbols.classes.get(e.func)
         if info is not None:
@@ -1278,15 +901,8 @@ class _Compiler:
         io = self.io
         source = self.source
         acc = self.acc
-        charge = self.backend.charge
+        charge = self.charge
         units = self.cost.builtin_overhead
-
-        if (e.func == "len" and not acc
-                and isinstance(e.args[0].ty, ArrayType)):
-            # The loop-bound idiom, `while i < len(xs)`, without the
-            # builtin's calling convention.
-            arg0 = arg_fns[0]
-            return lambda ctx: len(arg0(ctx).items)
 
         if e.func == "clock":
             # clock() reports the backend's clock (virtual under sim/coop);
@@ -1319,18 +935,16 @@ class _Compiler:
         # The type/order tables are immutable; every instance shares them.
         field_types = dict(zip(info.field_names, info.field_types))
         field_order = list(info.field_names)
-        widen = tuple(_widening(ty) for ty in info.field_types)
+        widen = tuple(widening(ty) for ty in info.field_types)
         acc = self.acc
-        charge = self.backend.charge
+        charge = self.charge
         units = (self.cost.call_overhead
                  + self.cost.array_element * max(1, len(arg_fns)))
 
         def run(ctx):
+            args = [f(ctx) for f in arg_fns]
             if acc:
-                args = [f(ctx) for f in arg_fns]
                 charge(ctx, units)
-            else:
-                args = [f(ctx) for f in arg_fns]
             fields = {
                 name: coerce_to(value, w) if w is not None else value
                 for name, w, value in zip(field_names, widen, args)
@@ -1338,137 +952,6 @@ class _Compiler:
             return TetraObject(class_name, fields, field_types, field_order)
 
         return self._with_heap(run, e.span)
-
-    def _expr_unary(self, e: Unary) -> ExprRun:
-        op = e.op
-        if not self.acc and isinstance(e.operand, _LITERAL_NODES):
-            raw = e.operand.value  # fold: -1 and not true are constants
-            if op is UnaryOp.NEG:
-                value = -raw
-            elif op is UnaryOp.POS:
-                value = raw
-            else:
-                value = not raw
-            return lambda ctx: value
-        operand = self.expr(e.operand)
-        if not self.acc:
-            if op is UnaryOp.NEG:
-                return lambda ctx: -operand(ctx)
-            if op is UnaryOp.POS:
-                return operand
-            return lambda ctx: not operand(ctx)
-
-        charge = self.backend.charge
-        units = self.cost.unary
-
-        def run(ctx):
-            value = operand(ctx)
-            charge(ctx, units)
-            if op is UnaryOp.NEG:
-                return -value
-            if op is UnaryOp.POS:
-                return value
-            return not value
-
-        return run
-
-    def _operand(self, e: Expr):
-        """``("const", value)`` for a literal, whose value the parent's
-        closure binds in, or ``(None, closure)``."""
-        if isinstance(e, _LITERAL_NODES):
-            return "const", e.value
-        return None, self.expr(e)
-
-    def _expr_binop(self, e: BinOp) -> ExprRun:
-        if self.inline:
-            run = generate_expr(self, e)
-            if run is not None:
-                return run
-        op = e.op
-        acc = self.acc
-        charge = self.backend.charge
-        units = self.cost.binop
-
-        if op is BinaryOp.AND or op is BinaryOp.OR:
-            left = self.expr(e.left)
-            right = self.expr(e.right)
-            if op is BinaryOp.AND:
-                if not acc:
-                    return lambda ctx: bool(left(ctx)) and bool(right(ctx))
-
-                def run_and(ctx):
-                    lv = left(ctx)
-                    charge(ctx, units)
-                    return bool(lv) and bool(right(ctx))
-
-                return run_and
-            if not acc:
-                return lambda ctx: bool(left(ctx)) or bool(right(ctx))
-
-            def run_or(ctx):
-                lv = left(ctx)
-                charge(ctx, units)
-                return bool(lv) or bool(right(ctx))
-
-            return run_or
-
-        if not acc:
-            lk, lv = self._operand(e.left)
-            rk, rv = self._operand(e.right)
-            if lk is not None or rk is not None:
-                return self._binop_inlined(e, lk, lv, rk, rv)
-            left, right = lv, rv
-            # Both operands are real sub-expressions: one closure call per
-            # operand and the native operator, nothing else.
-            if op is BinaryOp.ADD:
-                return lambda ctx: left(ctx) + right(ctx)
-            if op is BinaryOp.SUB:
-                return lambda ctx: left(ctx) - right(ctx)
-            if op is BinaryOp.MUL:
-                return lambda ctx: left(ctx) * right(ctx)
-            if op is BinaryOp.EQ:
-                return lambda ctx: left(ctx) == right(ctx)
-            if op is BinaryOp.NE:
-                return lambda ctx: left(ctx) != right(ctx)
-            if op is BinaryOp.LT:
-                return lambda ctx: left(ctx) < right(ctx)
-            if op is BinaryOp.LE:
-                return lambda ctx: left(ctx) <= right(ctx)
-            if op is BinaryOp.GT:
-                return lambda ctx: left(ctx) > right(ctx)
-            if op is BinaryOp.GE:
-                return lambda ctx: left(ctx) >= right(ctx)
-            apply = self._binop_apply(op, e.left.ty, e.right.ty, e.span, e)
-            return lambda ctx: apply(left(ctx), right(ctx))
-
-        left = self.expr(e.left)
-        right = self.expr(e.right)
-        apply = self._binop_apply(op, e.left.ty, e.right.ty, e.span, e)
-
-        def run_acc(ctx):
-            lv = left(ctx)
-            rv = right(ctx)
-            charge(ctx, units)
-            return apply(lv, rv)
-
-        return run_acc
-
-    def _binop_inlined(self, e: BinOp, lk, lv, rk, rv) -> ExprRun:
-        """A binop closure with a literal operand bound in: ``n - 1`` costs
-        one closure, and a total operator over two literals folds."""
-        op = e.op
-        opfunc = _OPERATOR_FUNCS.get(op)
-        total = opfunc is not None  # total ⇒ cannot raise ⇒ foldable
-        if opfunc is None:
-            opfunc = self._binop_apply(op, e.left.ty, e.right.ty, e.span, e)
-        if lk == "const" and rk == "const":
-            if total:
-                value = opfunc(lv, rv)  # fold: 1 + 2 is 3 at compile time
-                return lambda ctx: value
-            return lambda ctx: opfunc(lv, rv)  # 1 / 0 must raise at runtime
-        if lk == "const":
-            return lambda ctx: opfunc(lv, rv(ctx))
-        return lambda ctx: opfunc(lv(ctx), rv)
 
     def _binop_apply(self, op: BinaryOp, left_ty, right_ty, span, node):
         """A two-argument applier with the operator (and, for division and
@@ -1495,7 +978,7 @@ class _Compiler:
             return lambda a, b: tetra_pow(a, b, span)
         if op in (BinaryOp.DIV, BinaryOp.MOD):
             if left_ty is None or right_ty is None:
-                raise _missing(node, f"an operand of '{op.value}'")
+                raise missing(node, f"an operand of '{op.value}'")
             both_int = (isinstance(left_ty, IntType)
                         and isinstance(right_ty, IntType))
             if both_int:
@@ -1513,7 +996,9 @@ class _Compiler:
     # ------------------------------------------------------------------
     # Each hook runs where the access happens: after the site's charge and
     # type check, before the read or write itself.  Tuple and string
-    # elements are immutable, so their index loads compile as usual.
+    # elements are immutable, so their index loads compile as usual.  The
+    # generated code notes names and array elements the same way
+    # (:func:`repro.interp.generate.note_name` and ``note_element``).
 
     def _race_note(self, is_write: bool):
         """``note(ctx, key, display, span, pin)``: feed one shared access to
@@ -1527,143 +1012,6 @@ class _Compiler:
             trace(ctx, display, is_write, span)
 
         return note
-
-    def _race_name(self, e: Name) -> ExprRun:
-        name = e.id
-        span = e.span
-        note = self._race_note(False)
-        acc = self.acc
-        charge = self.backend.charge
-        units = self.cost.name_load
-
-        def run(ctx):
-            if acc:
-                charge(ctx, units)
-            env = ctx.env
-            if env.is_shared(name):
-                note(ctx, (id(env.frame), name), name, span, env.frame)
-            return env.get(name)
-
-        return run
-
-    def _race_store_name(self, target: Name, widen):
-        name = target.id
-        span = target.span
-        note = self._race_note(True)
-        acc = self.acc
-        charge = self.backend.charge
-        units = self.cost.name_store
-
-        def store(ctx, value):
-            if acc:
-                charge(ctx, units)
-            env = ctx.env
-            if env.is_shared(name):
-                note(ctx, (id(env.frame), name), name, span, env.frame)
-            env.set(name, coerce_to(value, widen) if widen else value)
-
-        return store
-
-    def _race_index(self, e: Index) -> ExprRun:
-        base_fn = self.expr(e.base)
-        index_fn = self.expr(e.index)
-        span = e.span
-        prefix = unparse(e.base)
-        note = self._race_note(False)
-        acc = self.acc
-        charge = self.backend.charge
-        units = self.cost.index_load
-
-        def run(ctx):
-            base = base_fn(ctx)
-            index = index_fn(ctx)
-            if acc:
-                charge(ctx, units)
-            if isinstance(base, (TetraArray, TetraDict)):
-                note(ctx, (id(base), index), f"{prefix}[{index!r}]", span,
-                     base)
-            return base.get(index, span)
-
-        return run
-
-    def _race_store_index(self, target: Index):
-        err = self.interp._err
-        base_fn = self.expr(target.base)
-        index_fn = self.expr(target.index)
-        span = target.span
-        prefix = unparse(target.base)
-        note = self._race_note(True)
-        acc = self.acc
-        charge = self.backend.charge
-        units = self.cost.index_store
-
-        def store(ctx, value):
-            base = base_fn(ctx)
-            index = index_fn(ctx)
-            if acc:
-                charge(ctx, units)
-            if isinstance(base, (TetraArray, TetraDict)):
-                note(ctx, (id(base), index), f"{prefix}[{index!r}]", span,
-                     base)
-            if isinstance(base, TetraDict):
-                base.set(index, coerce_to(value, base.value_type))
-                return
-            if not isinstance(base, TetraArray):
-                raise err(
-                    TetraRuntimeError,
-                    "only array and dict elements can be assigned "
-                    "through an index (strings are immutable)",
-                    span,
-                )
-            base.set(index, coerce_to(value, base.element_type), span)
-
-        return store
-
-    def _race_attribute(self, e: Attribute) -> ExprRun:
-        err = self.interp._err
-        base_fn = self.expr(e.base)
-        attr = e.attr
-        span = e.span
-        note = self._race_note(False)
-        acc = self.acc
-        charge = self.backend.charge
-        units = self.cost.index_load
-
-        def run(ctx):
-            base = base_fn(ctx)
-            if acc:
-                charge(ctx, units)
-            if not isinstance(base, TetraObject):
-                raise err(TetraRuntimeError,
-                          "only class instances have fields", span)
-            note(ctx, (id(base), attr), f"{base.class_name}.{attr}", span,
-                 base)
-            return base.get(attr, span)
-
-        return run
-
-    def _race_store_attribute(self, target: Attribute):
-        err = self.interp._err
-        base_fn = self.expr(target.base)
-        attr = target.attr
-        span = target.span
-        note = self._race_note(True)
-        acc = self.acc
-        charge = self.backend.charge
-        units = self.cost.index_store
-
-        def store(ctx, value):
-            base = base_fn(ctx)
-            if acc:
-                charge(ctx, units)
-            if not isinstance(base, TetraObject):
-                raise err(TetraRuntimeError,
-                          "only class instances have fields", span)
-            note(ctx, (id(base), attr), f"{base.class_name}.{attr}", span,
-                 base)
-            base.set(attr, value, span)
-
-        return store
 
     def _race_lock(self, name: str, body: StmtRun, span) -> StmtRun:
         lock = self.backend.lock
@@ -1689,32 +1037,19 @@ class _Compiler:
         return run
 
 
+
 _STMT_BUILDERS = {
-    ExprStmt: _Compiler._stmt_expr,
-    Assign: _Compiler._stmt_assign,
-    AugAssign: _Compiler._stmt_aug_assign,
+    AugAssign: _Compiler._aug_assign_once,
     Unpack: _Compiler._stmt_unpack,
     Declare: _Compiler._stmt_declare,
-    If: _Compiler._stmt_if,
-    While: _Compiler._stmt_while,
-    For: _Compiler._stmt_for,
     ParallelFor: _Compiler._stmt_parallel_for,
     ParallelBlock: _Compiler._stmt_parallel_block,
     BackgroundBlock: _Compiler._stmt_background_block,
     LockStmt: _Compiler._stmt_lock,
     TryStmt: _Compiler._stmt_try,
-    Return: _Compiler._stmt_return,
-    Break: _Compiler._stmt_break,
-    Continue: _Compiler._stmt_continue,
-    Pass: _Compiler._stmt_pass,
 }
 
 _EXPR_BUILDERS = {
-    IntLiteral: _Compiler._expr_literal,
-    RealLiteral: _Compiler._expr_literal,
-    StringLiteral: _Compiler._expr_literal,
-    BoolLiteral: _Compiler._expr_literal,
-    Name: _Compiler._expr_name,
     ArrayLiteral: _Compiler._expr_array_literal,
     TupleLiteral: _Compiler._expr_tuple_literal,
     DictLiteral: _Compiler._expr_dict_literal,
@@ -1723,6 +1058,4 @@ _EXPR_BUILDERS = {
     Attribute: _Compiler._expr_attribute,
     MethodCall: _Compiler._expr_method_call,
     Call: _Compiler._expr_call,
-    BinOp: _Compiler._expr_binop,
-    Unary: _Compiler._expr_unary,
 }

@@ -1,20 +1,21 @@
 """The Tetra interpreter: one type-checked program, run on one backend.
 
 Faithful to the paper's §IV: the program is parsed to an AST, type-checked,
-then interpreted by traversing the AST — once, up front, by the closure
-compiler (:mod:`repro.interp.compile`), which turns every function body
-into a tree of Python closures.  At a ``parallel`` block the interpreter
-"launches one thread for each child node ... and executes them in
-parallel", background blocks skip the join, ``parallel for`` workers get
-"a copy of the induction variable inserted into their private symbol
-table", and lock statements map onto mutexes.
+then interpreted by traversing the AST — once, up front, by the compiler
+(:mod:`repro.interp.compile`), which turns every function body into a
+generated Python function (:mod:`repro.interp.generate`).  At a
+``parallel`` block the interpreter "launches one thread for each child
+node ... and executes them in parallel", background blocks skip the
+join, ``parallel for`` workers get "a copy of the induction variable
+inserted into their private symbol table", and lock statements map onto
+mutexes.
 
 The one generalization over the paper is the pluggable
 :class:`~repro.runtime.backend.Backend`: the same interpreter runs on real
 threads, under the deterministic cooperative scheduler, or inside the
 virtual-time recorder — which is what lets a Python reproduction both keep
 the real-threads semantics and regenerate the speedup evaluation
-(DESIGN.md §2).  This module owns what every compiled closure shares: the
+(DESIGN.md §2).  This module owns what all compiled code shares: the
 run's guardrails and observers, thread labels, spawn groups with their
 race-detector edges, and the ``parallel for`` partitioning.
 """
@@ -88,7 +89,7 @@ class Interpreter:
         self._labels_issued: set[str] = set()
         # Race detection: None (the common case) compiles no hooks at all;
         # a detector records happens-before and lockset evidence for every
-        # shared access, through hooks the closure compiler binds in.
+        # shared access, through notes the compiler binds in.
         self._race = None
         if self.config.detect_races:
             from ..analysis.races import RaceDetector
@@ -149,7 +150,7 @@ class Interpreter:
                 self.backend.native_state = self._native.state
         from .compile import compile_program
 
-        #: The program's closure trees (:class:`CompiledProgram`); its
+        #: The program's compiled functions (:class:`CompiledProgram`); its
         #: ``compile`` method also serves REPL, debugger and proc fragments.
         self.compiled = compile_program(self)
 

@@ -72,8 +72,8 @@ class Environment:
     def get(self, name: str) -> Value:
         # Most environments have an empty private table (only parallel-for
         # workers carry one); test truthiness before probing so the common
-        # case costs a single dict lookup.  The closure compiler
-        # (repro.interp.compile) relies on the same invariant to bypass
+        # case costs a single dict lookup.  The compiler
+        # (repro.interp.generate) relies on the same invariant to bypass
         # this method entirely for names it proves can never be private.
         private = self.private
         if private and name in private:

@@ -8,6 +8,7 @@ hit/miss accounting, the ``cache=False`` escape hatch, and
 backend is pinned by ``tests/test_exec_golden.py``.
 """
 
+import re
 import textwrap
 import types
 
@@ -21,7 +22,7 @@ from repro.api import (
     run_source,
 )
 from repro.errors import TetraError, TetraInternalError, TetraLimitError
-from repro.interp import Interpreter
+from repro.interp import Interpreter, generate
 from repro.runtime import CoopBackend, RuntimeConfig, SequentialBackend
 from repro.stdlib.io import CapturingIO
 from repro.tetra_ast import ArrayLiteral, Assign, DictLiteral, Name, walk
@@ -274,38 +275,82 @@ class TestFastPathParity:
             run_source(spin, backend="sequential", config=config)
 
 
-def _builders(invokers) -> set[str]:
-    """The compiler methods that built every closure reachable from
-    ``invokers`` (through closure cells, tuples and lists)."""
-    seen, stack = {}, list(invokers)
+def _race_hooks(invokers) -> set[tuple[str, str]]:
+    """The race hooks reachable from ``invokers``, through closure cells,
+    generated functions' bound values, tuples and lists: each as (site,
+    access).
+
+    A closure's site is the compiler method that built it and the
+    closure's own name; it carries a hook when its cells hold a note from
+    ``_race_note`` (the access is that note's kind) or when the method is
+    a ``_race_*`` builder.  A
+    generated function's sites are the note helpers its source calls,
+    each with the kind of the note bound to its first argument."""
+    sources = {}
+    for text, make in generate._cache.items():
+        for const in make.__code__.co_consts:
+            if isinstance(const, types.CodeType):
+                sources[const] = text
+
+    def kind(note) -> str:
+        cells = dict(zip(note.__code__.co_freevars,
+                         (c.cell_contents for c in note.__closure__)))
+        return "write" if cells["is_write"] else "read"
+
+    def is_note(value) -> bool:
+        return (isinstance(value, types.FunctionType)
+                and value.__qualname__.startswith("_Compiler._race_note"))
+
+    hooks, seen, stack = set(), set(), list(invokers)
     while stack:
         item = stack.pop()
         if isinstance(item, (tuple, list)):
             stack.extend(item)
-        elif isinstance(item, types.FunctionType) and id(item) not in seen:
-            seen[id(item)] = item
-            for cell in item.__closure__ or ():
-                stack.append(cell.cell_contents)
-    return {f.__qualname__.split(".<locals>")[0].rsplit(".", 1)[-1]
-            for f in seen.values()}
+            continue
+        if not isinstance(item, types.FunctionType) or id(item) in seen:
+            continue
+        seen.add(id(item))
+        cells = dict(zip(item.__code__.co_freevars,
+                         (c.cell_contents for c in item.__closure__ or ())))
+        stack.extend(cells.values())
+        if is_note(item):
+            continue
+        text = sources.get(item.__code__)
+        if text is not None:
+            for helper, arg in re.findall(r"(_note_\w+)\((_a\d+),", text):
+                hooks.add((helper, kind(cells[arg])))
+            continue
+        parts = item.__qualname__.split(".<locals>.")
+        builder = parts[0].rsplit(".", 1)[-1]
+        notes = [v for v in cells.values() if is_note(v)]
+        hooks.update((f"{builder}.{parts[-1]}", kind(note))
+                     for note in notes)
+        if builder.startswith("_race") and not notes:
+            hooks.add((builder, "lock"))
+    return hooks
 
 
 class TestCompiledRaceDetection:
     def test_detection_runs_on_the_compiled_closures(self):
-        """Every shared-access site compiles with its hook only under
-        detection, on the lean and the full statement prologue alike; the
-        hooked closures are what report the race."""
+        """Every shared-access kind compiles with its hook only under
+        detection, on the lean and the full statement prologue alike —
+        names and array elements in generated code, dict elements, fields
+        and locks in closures; the hooked code is what reports the race."""
         program, source = compile_source(EVERY_ACCESS_KIND)
-        hooks = {"_race_name", "_race_store_name", "_race_index",
-                 "_race_store_index", "_race_attribute",
-                 "_race_store_attribute", "_race_lock", "_race_note"}
+        hooks = {
+            ("_note_name", "read"), ("_note_name", "write"),
+            ("_note_elem", "read"), ("_note_elem", "write"),
+            ("_expr_index.run", "read"), ("_store.store_index", "write"),
+            ("_expr_attribute.run", "read"), ("_store.store_attr", "write"),
+            ("_race_lock", "lock"),
+        }
         for backend in (SequentialBackend, CoopBackend):
             for detect in (False, True):
+                generate._cache.clear()
                 interp = Interpreter(
                     program, source, backend=backend(), io=CapturingIO(),
                     config=RuntimeConfig(detect_races=detect))
-                built = _builders(interp.compiled.functions.values())
-                assert ({b for b in built if b.startswith("_race")}
+                assert (_race_hooks(interp.compiled.functions.values())
                         == (hooks if detect else set()))
                 if detect:
                     interp.run()

@@ -1,24 +1,26 @@
-"""Generated lean blocks against the closure path.
+"""Generated blocks: lean runs against full-prologue runs and coop.
 
-On a lean compile each function, loop and ``parallel for`` body runs as
-one generated Python function (:mod:`repro.interp.generate`).  Line
-profiling forces the full statement prologue without touching the output:
-blocks stay closures, and only single assignments, binops and element
-loads are generated, so the two runs below differ in how blocks run —
-control flow, completions, stop polls and fallback statements.  They must agree on the output, the exit
-code and the rendered diagnostic with its caret.  Because both runs
-share the generated operator and element code, every program whose
-output does not follow the schedule is also run on the ``coop`` backend,
-whose cost accounting keeps every node a closure; int ``/`` and ``%``
-are built from one rule on every backend, so
-``test_lean_path.py`` checks them against a Python reference.  The tests also pin the
-generator's own contracts: a block CPython refuses falls back to
-closures, the code cache keeps its bound, and no program text reaches a
-generated source.
+Every function, loop and ``parallel for`` body runs as one generated
+Python function (:mod:`repro.interp.generate`), on every backend.  Line
+profiling adds the full statement prologue without touching the output,
+so a lean run and a profiled run differ in how each statement starts and
+in nothing else; a step budget makes every loop poll count.  They must
+agree on the output, the exit code and the rendered diagnostic with its
+caret.  Every program whose output does not follow the schedule is also
+run on the ``coop`` backend, whose blocks carry the prologue with a
+scheduler checkpoint per statement.  All three runs share one writer, so
+none of them is an independent oracle for the operators: those are the
+Python twins in ``test_fuzz_differential.py`` (and ``test_lean_path.py``
+for int ``/`` and ``%``), and ``tests/data/exec_golden.json``, which pins
+every bundled program's output, races and simulated makespans.  The tests
+also pin the writer's own contracts: blocks nested and expressions deeper
+than CPython compiles in one piece still generate, the code cache keeps
+its bound, and no program text reaches a generated source.
 """
 
 import io
 import pathlib
+import sys
 import textwrap
 import tokenize
 
@@ -69,23 +71,22 @@ def assert_paths_agree(text, backend="sequential", **knobs):
 
 
 def assert_closures_agree(text):
-    """The sequential lean run against ``coop``, whose nodes all stay
-    closures."""
+    """The lean and profiled sequential runs against ``coop``."""
     generated = assert_paths_agree(text)
     assert generated == outcome(text, "coop"), text
     return generated
 
 
 def _is_generated(text: str) -> bool:
-    """True when running ``text`` compiles at least one generated block."""
+    """True when running ``text`` runs its ``for`` loop as generated
+    code."""
     generate._cache.clear()
     run_source(text, cache=False, backend="sequential", on_error="return")
-    return any(make is not generate._REFUSED
-               for make in generate._cache.values())
+    return any(" in _i._iterate(" in source for source in generate._cache)
 
 
 # ----------------------------------------------------------------------
-# Differential: generated blocks vs closures with the full prologue
+# Differential: lean blocks vs blocks with the full prologue, and coop
 # ----------------------------------------------------------------------
 #: Demos whose output follows the schedule, which differs on coop.
 SCHEDULE_DEPENDENT = {"background_demo", "deadlock_demo", "race_demo"}
@@ -220,8 +221,7 @@ def test_return_break_continue_cross_closure_statements():
 # ----------------------------------------------------------------------
 # The generator's own contracts
 # ----------------------------------------------------------------------
-def test_blocks_nested_deeper_than_cpython_allows_run_as_closures():
-    depth = 24
+def _nested_loops(depth: int) -> str:
     lines = ["def main():", "    n = 0"]
     for level in range(depth):
         pad = "    " * (level + 1)
@@ -229,12 +229,38 @@ def test_blocks_nested_deeper_than_cpython_allows_run_as_closures():
                   f"{pad}    k{level} += 1"]
     lines.append("    " * (depth + 1) + "n += 1")
     lines.append("    print(n)")
-    text = "\n".join(lines) + "\n"
-    generate._cache.clear()
-    assert outcome(text) == ("1\n", 0, None)
-    assert generate._REFUSED in generate._cache.values()
-    assert any(v is not generate._REFUSED for v in generate._cache.values())
-    assert_paths_agree(text)
+    return "\n".join(lines) + "\n"
+
+
+def _deep_expression(depth: int) -> str:
+    return ("def main():\n    a = 1\n"
+            f"    b = {'(' * depth}a{' + 1)' * depth}\n"
+            f"    print(b)\n    print({'(' * depth}b{' - 1)' * depth})\n")
+
+
+@pytest.mark.parametrize("text, output", [
+    (_nested_loops(24), "1\n"),
+    (_deep_expression(400), "401\n1\n"),
+], ids=["24 nested loops", "400-deep expression"])
+def test_code_past_cpythons_nesting_limits_still_generates(text, output):
+    """A body nested, or an expression deeper, than CPython compiles in one
+    source becomes a generated function of its own: every source
+    compiles, and the cache holds no refused entries."""
+    # The recursive-descent parser takes about ten Python frames per
+    # parenthesis.
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(limit, 20_000))
+    try:
+        generate._cache.clear()
+        assert outcome(text) == (output, 0, None)
+        assert generate._cache
+        assert all(callable(make) for make in generate._cache.values())
+        assert len(generate._cache) < 40
+        for backend in ("coop", "sim"):
+            assert outcome(text, backend) == (output, 0, None), backend
+        assert_paths_agree(text)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_the_code_cache_never_exceeds_its_bound(monkeypatch):

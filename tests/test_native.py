@@ -21,6 +21,7 @@ from __future__ import annotations
 import importlib.util
 import os
 import textwrap
+import threading
 import time
 from pathlib import Path
 
@@ -34,11 +35,13 @@ from repro.api import (
     run_source,
 )
 from repro.errors import (
+    TetraCancelledError,
     TetraError,
     TetraLimitError,
     TetraNativeError,
     exit_code_for,
 )
+from repro.resilience import CancelToken
 from repro.runtime.backend import RuntimeConfig
 from repro.tetra_ast import walk
 
@@ -609,6 +612,56 @@ class TestRuntimeSurface:
             """, time_limit=0.4)
         # The kernel checks in every 1024 back-edges; well under the
         # seconds the full 4e9-iteration loop would take.
+        assert time.perf_counter() - started < 5.0
+
+    def test_time_limited_native_runs_start_no_thread_each(self,
+                                                           monkeypatch):
+        """A kernel's time limit rides on the process's one deadline
+        thread, like the interpreter's."""
+        starts = []
+        start = threading.Thread.start
+
+        def counting_start(thread):
+            starts.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting_start)
+        for n in range(5):
+            result = run(f"""
+            def spin(n int) int:
+                total = 0
+                for i in [1 ... n]:
+                    total += i % 7
+                return total
+
+            def main():
+                print(spin({1000 + n}))
+            """, time_limit=30.0, metrics=True)
+            assert result.metrics.native["calls"] == 1
+        assert "tetra-native-watcher" not in starts
+        assert len(starts) <= 1, starts
+
+    def test_cancel_token_ends_a_hot_native_loop(self):
+        token = CancelToken()
+        timer = threading.Timer(0.3, token.cancel, ("test asked",))
+        started = time.perf_counter()
+        timer.start()
+        try:
+            with pytest.raises(TetraCancelledError, match="test asked"):
+                run("""
+                def spin(n int) int:
+                    total = 0
+                    i = 0
+                    while i < n:
+                        total += i % 7
+                        i += 1
+                    return total
+
+                def main():
+                    print(spin(4000000000))
+                """, cancel=token)
+        finally:
+            timer.cancel()
         assert time.perf_counter() - started < 5.0
 
     def test_trace_labels_native_calls(self):
