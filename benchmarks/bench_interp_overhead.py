@@ -4,7 +4,8 @@ The paper's future-work native compiler exists "so Tetra programs can be
 run more efficiently than with the interpreter"; this benchmark measures
 what the interpreter costs on fib(18), a call-heavy program:
 
-* the **closure fast path** (``repro.interp.compile``, the interpreter),
+* the **fast path** (the interpreter's generated Python functions,
+  ``repro.interp.generate``),
 * **hand-written Python** as the floor.
 
 The gate is a ceiling on how far the interpreter trails that floor
@@ -18,6 +19,7 @@ trajectory from PR to PR.
 """
 
 import json
+import statistics
 import threading
 import time
 import textwrap
@@ -55,27 +57,45 @@ EXPECTED = str(fib_python(FIB_N))
 
 
 def run_fast_path():
-    """The closure fast path through the (warm) program cache — the
-    default execution pipeline."""
+    """The fast path through the (warm) program cache — the default
+    execution pipeline."""
     return run_source(FIB_TETRA, backend="sequential").output_lines()
 
 
-def _timed_once(fn):
+#: One sample calls its strategy until the sample lasts at least this
+#: long, and reports the time per call: one Python fib(18) lasts only
+#: 0.5-0.7 ms, and that spread alone moved the ratio by a third.
+MIN_SAMPLE_S = 0.02
+
+
+def _per_call(fn):
+    """Seconds per call of ``fn`` over one sample of at least
+    :data:`MIN_SAMPLE_S`."""
+    calls = 0
     start = time.perf_counter()
-    fn()
-    return time.perf_counter() - start
+    while True:
+        fn()
+        calls += 1
+        elapsed = time.perf_counter() - start
+        if elapsed >= MIN_SAMPLE_S:
+            return elapsed / calls
 
 
 def measure(rounds=5):
-    """Best-of-``rounds`` wall time per strategy, in seconds.
+    """Best-of-``rounds`` wall time per call of each strategy, in
+    seconds, and the median over rounds of the fast-path/python ratio.
 
-    Two methodology notes, both learned the hard way:
+    Three methodology notes, all learned the hard way:
 
+    * Each sample repeats its strategy for at least :data:`MIN_SAMPLE_S`
+      and divides by the calls: one fast-path call is a sample of its
+      own, while the Python floor is timed over tens of calls.
     * Rounds are **interleaved** (fast path, python, then again) rather
-      than timed back-to-back per strategy: shared CI machines drift in
-      speed over a benchmark's lifetime, and interleaving spreads that
-      drift evenly across strategies so the fast-path/python *ratio*
-      stays honest even when absolute times wobble.
+      than timed back-to-back per strategy, and the ratio is taken
+      within each round: shared machines drift in speed by half within
+      seconds, and two best-of times taken at different moments put
+      that drift into the ratio, while the two samples of one round
+      share it.
     * The timing loop runs on a **fresh thread**.  CPython 3.11+ grows
       the frame stack in 16 KiB chunks and frees a chunk the moment
       recursion pops back across its base, so a deeply recursive workload
@@ -92,17 +112,19 @@ def measure(rounds=5):
         "python": lambda: fib_python(FIB_N),
     }
 
-    best = {name: float("inf") for name in strategies}
+    samples = {name: [] for name in strategies}
 
     def loop():
         for _ in range(rounds):
             for name, fn in strategies.items():
-                best[name] = min(best[name], _timed_once(fn))
+                samples[name].append(_per_call(fn))
 
     timer = threading.Thread(target=loop, name="bench-timer")
     timer.start()
     timer.join()
-    return best
+    ratio = statistics.median(
+        f / p for f, p in zip(samples["fast_path"], samples["python"]))
+    return {name: min(times) for name, times in samples.items()}, ratio
 
 
 # ----------------------------------------------------------------------
@@ -128,19 +150,17 @@ if pytest is not None:
 
     def test_interpreter_overhead_table(benchmark, report):
         benchmark.pedantic(run_fast_path, rounds=1, iterations=1)
-        # As many rounds as the script's gated mode: the 0.4 ms Python
-        # run makes the ratio noisy.
-        times = measure(rounds=7)
-        ratio = times["fast_path"] / times["python"]
+        times, ratio = measure(rounds=7)
         rows = [
-            ["closure fast path",
-             round(times["fast_path"] * 1000, 1), round(ratio, 1)],
+            ["fast path",
+             round(times["fast_path"] * 1000, 3), round(ratio, 1)],
             ["hand-written Python",
-             round(times["python"] * 1000, 1), 1.0],
+             round(times["python"] * 1000, 3), 1.0],
         ]
         report.emit(f"Ablation: execution strategy on fib({FIB_N})", [
-            *format_table(["strategy", "ms (best of 7)", "vs Python"], rows),
-            f"the closure fast path is {ratio:.1f}x hand-written Python "
+            *format_table(["strategy", "ms per call (best of 7)",
+                           "vs Python"], rows),
+            f"the fast path is {ratio:.1f}x hand-written Python "
             "on a call-heavy program.",
         ])
         assert ratio <= MAX_FAST_OVER_PYTHON
@@ -156,7 +176,7 @@ def main(argv=None):
     import argparse
 
     parser = argparse.ArgumentParser(
-        description="fib wall-time for the closure fast path and "
+        description="fib wall-time for the fast path and "
                     "hand-written Python",
     )
     parser.add_argument("--smoke", action="store_true",
@@ -166,8 +186,7 @@ def main(argv=None):
                              "BENCH_interp_overhead.json)")
     args = parser.parse_args(argv)
 
-    times = measure(rounds=3 if args.smoke else 7)
-    ratio = times["fast_path"] / times["python"]
+    times, ratio = measure(rounds=3 if args.smoke else 7)
     payload = {
         "benchmark": "interp_overhead",
         "workload": f"fib({FIB_N})",
@@ -177,7 +196,7 @@ def main(argv=None):
         "max_fast_over_python": MAX_FAST_OVER_PYTHON,
     }
     for name in ("fast_path", "python"):
-        print(f"{name:>12}: {times[name] * 1000:8.2f} ms")
+        print(f"{name:>12}: {times[name] * 1000:8.3f} ms per call")
     print(f"fast path is {ratio:.1f}x hand-written Python "
           f"(ceiling: {MAX_FAST_OVER_PYTHON}x)")
     if args.json:

@@ -38,11 +38,10 @@ that is knowable at compile time bound in:
   and ``lock`` bodies report acquire/release inside the held lock.  With
   detection off no code carries a note or a test for one.
 
-This module keeps the invokers (the calling convention) and closures for
-what the writer leaves out: builtins, constructors, method calls, fields,
-dict and string elements, collection literals, ``lock``, ``try``, the
-parallel constructs, ``Unpack``, ``Declare`` and an ``op=`` whose field or
-element target holds a call.  Their operands are generated again.
+This module keeps the invokers (the calling convention) and the closures
+for ``lock``, ``parallel``, ``background`` and ``parallel for``, which
+hand a generated body to the backend; every other statement and every
+expression is generated code.
 
 Spans ride along in all code that can raise, so diagnostics render the
 same caret on every backend; per-statement checkpoints and span stores
@@ -55,67 +54,20 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..errors import (
-    TetraInternalError,
-    TetraLimitError,
-    TetraRuntimeError,
-    is_catchable,
-)
+from ..errors import TetraLimitError
 from ..tetra_ast import (
-    ArrayLiteral,
-    Attribute,
-    AugAssign,
     BackgroundBlock,
-    BinaryOp,
     Block,
-    Call,
-    Declare,
-    DictLiteral,
     Expr,
-    Index,
     LockStmt,
-    MethodCall,
-    Name,
     ParallelBlock,
     ParallelFor,
-    RangeLiteral,
     Stmt,
-    TryStmt,
-    TupleLiteral,
-    Unpack,
-    unparse,
     walk_statements,
 )
-from ..types import (
-    INT,
-    VOID,
-    ArrayType,
-    ClassType,
-    DictType,
-    IntType,
-    StringType,
-    TupleType,
-    from_type_expr,
-)
-from ..runtime import (
-    Environment,
-    Frame,
-    coerce_to,
-    make_array,
-    real_div,
-    real_mod,
-    tetra_pow,
-)
-from ..runtime.values import TetraArray, TetraDict, TetraObject, TetraTuple
-from ..stdlib.registry import BUILTINS
-from .generate import (
-    checked_applier,
-    generate_block,
-    generate_store,
-    generate_value,
-    missing,
-    widening,
-)
+from ..types import VOID
+from ..runtime import Environment, Frame, coerce_to
+from .generate import generate_block, generate_value, widening
 
 #: A compiled statement: runs for effect and returns its completion (see
 #: :mod:`repro.interp.control`).  A compiled expression takes the same
@@ -181,16 +133,12 @@ def parallel_for_vars(node) -> frozenset[str]:
                      if isinstance(n, ParallelFor))
 
 
-def _no_note(ctx, key, display, span, pin) -> None:
-    """The race note of a run without a race detector."""
-
-
 class _Compiler:
     """Compiles one program for one :class:`Interpreter` instance.
 
-    The compiled code binds the interpreter's backend, io channel, and
-    cost model, which is what makes it fast — and what ties a compiled
-    program to its interpreter.  Compilation itself is a single O(nodes)
+    The compiled code binds the interpreter, its backend and its cost
+    model, which is what makes it fast — and what ties a compiled program
+    to its interpreter.  Compilation itself is a single O(nodes)
     walk, so rebinding per run is cheap; the expensive lex/parse/check
     work is what the :mod:`repro.api` program cache memoizes.
     """
@@ -200,8 +148,6 @@ class _Compiler:
         self.backend = interp.backend
         self.acc = interp._acc
         self.cost = interp.cost_model
-        self.io = interp.io
-        self.source = interp.source
         self.symbols = interp.symbols
         #: The run's step counter under a step budget, else None: the
         #: sites that poll the stop flag count a step each (see
@@ -382,113 +328,16 @@ class _Compiler:
     def stmt(self, s: Stmt) -> StmtRun:
         return generate_block(self, (s,))
 
-    def fallback_stmt(self, s: Stmt) -> StmtRun:
-        """The closure for a statement outside the writer's vocabulary,
-        without its prologue (the generated code around it has that)."""
-        try:
-            builder = _STMT_BUILDERS[type(s)]
-        except KeyError:  # pragma: no cover - parser emits no other kinds
-            raise TetraInternalError(
-                f"fast path has no compiler for {type(s).__name__}", s.span
-            ) from None
-        return builder(self, s)
+    def expr(self, e: Expr) -> ExprRun:
+        return generate_value(self, e)
 
-    # -- simple statements -------------------------------------------------
-    def _aug_assign_once(self, s: AugAssign) -> StmtRun:
-        """``t[k] op= v`` or ``o.f op= v`` whose target contains a call (the
-        writer runs every other ``op=``): the target's base and index are
-        evaluated once, and the element's load and store share them, each
-        with its charge and race note."""
-        target = s.target
-        base_fn = self.expr(target.base)
-        if isinstance(target, Attribute):
-            attr = target.attr
-            key_fn = lambda ctx: attr  # noqa: E731
-        else:
-            key_fn = self.expr(target.index)
-        value_fn = self.expr(s.value)
-        apply = self._binop_apply(s.op, target.ty, s.value.ty, s.span, s)
-        span = target.span
-        is_field = isinstance(target, Attribute)
-        prefix = unparse(target.base)
-        err = self.interp._err
-        acc = self.acc
-        charge = self.charge
-        load_units = self.cost.index_load
-        store_units = self.cost.index_store
-        read = write = _no_note
-        if self.race is not None:
-            read, write = self.race_notes
+    def backend_stmt(self, s: Stmt) -> StmtRun:
+        """The closure for ``lock`` or a parallel construct, which hands
+        its generated body to the backend, without its prologue (the
+        generated code around it has that)."""
+        return _STMT_BUILDERS[type(s)](self, s)
 
-        def run(ctx):
-            base = base_fn(ctx)
-            key = key_fn(ctx)
-            if acc:
-                charge(ctx, load_units)
-            if is_field:
-                if not isinstance(base, TetraObject):
-                    raise err(TetraRuntimeError,
-                              "only class instances have fields", span)
-                display = f"{base.class_name}.{key}"
-            else:
-                display = f"{prefix}[{key!r}]"
-            read(ctx, (id(base), key), display, span, base)
-            value = apply(base.get(key, span), value_fn(ctx))
-            if acc:
-                charge(ctx, store_units)
-            write(ctx, (id(base), key), display, span, base)
-            if isinstance(base, TetraDict):
-                base.set(key, coerce_to(value, base.value_type))
-            elif is_field:
-                base.set(key, value, span)
-            else:
-                base.set(key, coerce_to(value, base.element_type), span)
-
-        return run
-
-    def _stmt_unpack(self, s: Unpack) -> StmtRun:
-        value_fn = self.expr(s.value)
-        stores = tuple(self._store(t) for t in s.targets)
-
-        def run(ctx):
-            value = value_fn(ctx)
-            if not isinstance(value, TetraTuple):
-                raise TetraInternalError("unpacking a non-tuple at runtime")
-            for store, item in zip(stores, value.items):
-                store(ctx, item)
-
-        return run
-
-    def _stmt_declare(self, s: Declare) -> StmtRun:
-        value_fn = self.expr(s.value)
-        var_type = from_type_expr(s.declared_type)  # resolved once, not per run
-        name = s.name
-        if name in self._induction:
-            def run(ctx):
-                ctx.env.set(name, coerce_to(value_fn(ctx), var_type))
-        else:
-            def run(ctx):
-                ctx.env.frame.vars[name] = coerce_to(value_fn(ctx), var_type)
-
-        return run
-
-    def _stmt_try(self, s: TryStmt) -> StmtRun:
-        body = self.block(s.body)
-        handler = self.block(s.handler)
-        error_name = s.error_name
-
-        def run(ctx):
-            try:
-                return body(ctx)
-            except TetraRuntimeError as exc:
-                if not is_catchable(exc):
-                    raise
-                ctx.env.set(error_name, exc.message)
-                return handler(ctx)
-
-        return run
-
-    # -- parallel constructs -----------------------------------------------
+    # -- parallel constructs and lock --------------------------------------
     # A spawned thread's statements cannot return, break or continue out
     # of it (the checker forbids it), so their completions are dropped.
     def _spawn_block(self, s, join: bool, kind: str) -> StmtRun:
@@ -602,403 +451,12 @@ class _Compiler:
         return run
 
     # ------------------------------------------------------------------
-    # Assignment targets
-    # ------------------------------------------------------------------
-    def _store(self, target: Expr) -> Callable[[object, object], None]:
-        """``store(ctx, value)`` for an assignment target: generated for a
-        name or an array element, a closure for a field or a dict
-        element."""
-        interp = self.interp
-        acc = self.acc
-        charge = self.charge
-        span = target.span
-        units = self.cost.index_store
-        if isinstance(target, Name) or (isinstance(target, Index) and
-                                        isinstance(target.base.ty,
-                                                   ArrayType)):
-            return generate_store(self, target)
-
-        note = self.race_notes[True] if self.race is not None else None
-        if isinstance(target, Attribute):
-            base_fn = self.expr(target.base)
-            attr = target.attr
-
-            def store_attr(ctx, value):
-                base = base_fn(ctx)
-                if acc:
-                    charge(ctx, units)
-                if not isinstance(base, TetraObject):
-                    raise interp._err(
-                        TetraRuntimeError,
-                        "only class instances have fields", span,
-                    )
-                if note is not None:
-                    note(ctx, (id(base), attr), f"{base.class_name}.{attr}",
-                         span, base)
-                base.set(attr, value, span)
-
-            return store_attr
-
-        if isinstance(target, Index):
-            base_fn = self.expr(target.base)
-            index_fn = self.expr(target.index)
-            prefix = unparse(target.base)
-
-            def store_index(ctx, value):
-                base = base_fn(ctx)
-                index = index_fn(ctx)
-                if acc:
-                    charge(ctx, units)
-                if not isinstance(base, TetraDict):
-                    raise interp._err(
-                        TetraRuntimeError,
-                        "only array and dict elements can be assigned "
-                        "through an index (strings are immutable)",
-                        span,
-                    )
-                if note is not None:
-                    note(ctx, (id(base), index), f"{prefix}[{index!r}]",
-                         span, base)
-                base.set(index, coerce_to(value, base.value_type))
-
-            return store_index
-
-        raise TetraInternalError(
-            f"bad assignment target {type(target).__name__}"
-        )
-
-    # ------------------------------------------------------------------
-    # Expressions
-    # ------------------------------------------------------------------
-    def expr(self, e: Expr) -> ExprRun:
-        return generate_value(self, e)
-
-    def fallback_expr(self, e: Expr) -> ExprRun:
-        """The closure for an expression outside the writer's
-        vocabulary."""
-        try:
-            builder = _EXPR_BUILDERS[type(e)]
-        except KeyError:  # pragma: no cover - parser emits no other kinds
-            raise TetraInternalError(
-                f"fast path has no compiler for {type(e).__name__}", e.span
-            ) from None
-        return builder(self, e)
-
-    def _with_heap(self, run: ExprRun, span) -> ExprRun:
-        """Wrap an allocation site with the memory-limit meter (no-op —
-        the closure is returned untouched — unless memory_limit is set)."""
-        heap = self._heap
-        if heap is None:
-            return run
-        track_value = heap.track_value
-
-        def run_tracked(ctx):
-            result = run(ctx)
-            track_value(result, span)
-            return result
-
-        return run_tracked
-
-    def _expr_array_literal(self, e: ArrayLiteral) -> ExprRun:
-        ty = e.ty
-        if not isinstance(ty, ArrayType):
-            raise missing(e, "an array literal")
-        element_ty = ty.element
-        elem_fns = tuple(self.expr(x) for x in e.elements)
-        acc = self.acc
-        charge = self.charge
-        units = self.cost.array_element * max(1, len(elem_fns))
-
-        def run(ctx):
-            values = [f(ctx) for f in elem_fns]
-            if acc:
-                charge(ctx, units)
-            return make_array(values, element_ty)
-
-        return self._with_heap(run, e.span)
-
-    def _expr_tuple_literal(self, e: TupleLiteral) -> ExprRun:
-        ty = e.ty
-        if not isinstance(ty, TupleType):
-            raise missing(e, "a tuple literal")
-        elem_fns = tuple(self.expr(x) for x in e.elements)
-        widen = tuple(widening(t) for t in ty.elements)
-        simple = not any(widen)
-        acc = self.acc
-        charge = self.charge
-        units = self.cost.array_element * len(elem_fns)
-
-        def run(ctx):
-            if simple:
-                values = [f(ctx) for f in elem_fns]
-            else:
-                values = [
-                    coerce_to(f(ctx), w) if w is not None else f(ctx)
-                    for f, w in zip(elem_fns, widen)
-                ]
-            if acc:
-                charge(ctx, units)
-            return TetraTuple(values)
-
-        return self._with_heap(run, e.span)
-
-    def _expr_dict_literal(self, e: DictLiteral) -> ExprRun:
-        ty = e.ty
-        if not isinstance(ty, DictType):
-            raise missing(e, "a dict literal")
-        entry_fns = tuple(
-            (self.expr(k), self.expr(v)) for k, v in e.entries
-        )
-        key_ty, value_ty = ty.key, ty.value
-        acc = self.acc
-        charge = self.charge
-        per_element = self.cost.array_element
-
-        def run(ctx):
-            items = {}
-            for key_fn, value_fn in entry_fns:
-                key = key_fn(ctx)
-                items[key] = coerce_to(value_fn(ctx), value_ty)
-            if acc:
-                charge(ctx, per_element * max(1, len(items)))
-            return TetraDict(items, key_ty, value_ty)
-
-        return self._with_heap(run, e.span)
-
-    def _expr_range_literal(self, e: RangeLiteral) -> ExprRun:
-        start_fn = self.expr(e.start)
-        stop_fn = self.expr(e.stop)
-        acc = self.acc
-        charge = self.charge
-        per_element = self.cost.array_element
-
-        def run(ctx):
-            items = list(range(start_fn(ctx), stop_fn(ctx) + 1))
-            if acc:
-                charge(ctx, per_element * max(1, len(items)))
-            return TetraArray(items, INT)
-
-        return self._with_heap(run, e.span)
-
-    def _expr_index(self, e: Index) -> ExprRun:
-        # Array elements are generated; dicts, tuples and strings are here.
-        base_ty = e.base.ty
-        acc = self.acc
-        interp = self.interp
-        base_fn = self.expr(e.base)
-        index_fn = self.expr(e.index)
-        span = e.span
-        charge = self.charge
-        units = self.cost.index_load
-
-        if isinstance(base_ty, (DictType, TupleType)):
-            # Dicts and tuples share the get(index, span) protocol; the
-            # static type tells us no other value can appear here.
-            note = (self.race_notes[False]
-                    if self.race is not None and isinstance(base_ty, DictType)
-                    else None)
-            prefix = unparse(e.base)
-
-            def run(ctx):
-                base = base_fn(ctx)
-                index = index_fn(ctx)
-                if acc:
-                    charge(ctx, units)
-                if note is not None:
-                    note(ctx, (id(base), index), f"{prefix}[{index!r}]",
-                         span, base)
-                return base.get(index, span)
-
-            return run
-
-        if isinstance(base_ty, StringType):
-            def run_str(ctx):
-                base = base_fn(ctx)
-                index = index_fn(ctx)
-                if acc:
-                    charge(ctx, units)
-                if not 0 <= index < len(base):
-                    raise interp._err(
-                        TetraRuntimeError,
-                        f"index {index} is out of range for a string of "
-                        f"length {len(base)}",
-                        span,
-                    )
-                return base[index]
-
-            return run_str
-
-        raise missing(e.base, "an indexed expression")
-
-    def _expr_attribute(self, e: Attribute) -> ExprRun:
-        interp = self.interp
-        base_fn = self.expr(e.base)
-        attr = e.attr
-        span = e.span
-        acc = self.acc
-        charge = self.charge
-        units = self.cost.index_load
-        note = self.race_notes[False] if self.race is not None else None
-
-        def run(ctx):
-            base = base_fn(ctx)
-            if acc:
-                charge(ctx, units)
-            if not isinstance(base, TetraObject):
-                raise interp._err(
-                    TetraRuntimeError, "only class instances have fields",
-                    span,
-                )
-            if note is not None:
-                note(ctx, (id(base), attr), f"{base.class_name}.{attr}",
-                     span, base)
-            return base.get(attr, span)
-
-        return run
-
-    def _expr_method_call(self, e: MethodCall) -> ExprRun:
-        interp = self.interp
-        base_ty = e.base.ty
-        if not isinstance(base_ty, ClassType):
-            raise missing(e.base, "a method-call receiver")
-        invoke = self._method_invokers.get((base_ty.name, e.method))
-        if invoke is None:
-            raise TetraInternalError(
-                f"call to unknown method '{base_ty.name}.{e.method}'"
-            )
-        base_fn = self.expr(e.base)
-        arg_fns = tuple(self.expr(a) for a in e.args)
-        span = e.span
-
-        def run(ctx):
-            base = base_fn(ctx)
-            args = [f(ctx) for f in arg_fns]
-            if not isinstance(base, TetraObject):
-                raise interp._err(
-                    TetraRuntimeError, "only class instances have methods",
-                    span,
-                )
-            return invoke([base, *args], ctx, span)
-
-        return run
-
-    def _expr_call(self, e: Call) -> ExprRun:
-        # Calls to Tetra functions are generated; constructors and
-        # builtins are here.
-        arg_fns = tuple(self.expr(a) for a in e.args)
-        span = e.span
-
-        info = self.symbols.classes.get(e.func)
-        if info is not None:
-            return self._constructor(e, info, arg_fns)
-
-        builtin = BUILTINS.get(e.func)
-        if builtin is None:
-            raise TetraInternalError(
-                f"unknown function '{e.func}' at runtime", e.span
-            )
-        invoke_builtin = builtin.invoke
-        io = self.io
-        source = self.source
-        acc = self.acc
-        charge = self.charge
-        units = self.cost.builtin_overhead
-
-        if e.func == "clock":
-            # clock() reports the backend's clock (virtual under sim/coop);
-            # the builtin table cannot see the backend, so bind it here.
-            now = self.backend.now
-
-            def run_clock(ctx):
-                if acc:
-                    charge(ctx, units)
-                return now()
-
-            return run_clock
-
-        def run_builtin(ctx):
-            args = [f(ctx) for f in arg_fns]
-            if acc:
-                charge(ctx, units)
-            try:
-                return invoke_builtin(args, io, span)
-            except TetraRuntimeError as exc:
-                if exc.source is None and source is not None:
-                    exc.attach_source(source)
-                raise
-
-        return self._with_heap(run_builtin, span)
-
-    def _constructor(self, e: Call, info, arg_fns) -> ExprRun:
-        class_name = info.name
-        field_names = info.field_names
-        # The type/order tables are immutable; every instance shares them.
-        field_types = dict(zip(info.field_names, info.field_types))
-        field_order = list(info.field_names)
-        widen = tuple(widening(ty) for ty in info.field_types)
-        acc = self.acc
-        charge = self.charge
-        units = (self.cost.call_overhead
-                 + self.cost.array_element * max(1, len(arg_fns)))
-
-        def run(ctx):
-            args = [f(ctx) for f in arg_fns]
-            if acc:
-                charge(ctx, units)
-            fields = {
-                name: coerce_to(value, w) if w is not None else value
-                for name, w, value in zip(field_names, widen, args)
-            }
-            return TetraObject(class_name, fields, field_types, field_order)
-
-        return self._with_heap(run, e.span)
-
-    def _binop_apply(self, op: BinaryOp, left_ty, right_ty, span, node):
-        """A two-argument applier with the operator (and, for division and
-        modulo, the int/real variant) chosen from the static types."""
-        if op is BinaryOp.ADD:
-            return lambda a, b: a + b
-        if op is BinaryOp.SUB:
-            return lambda a, b: a - b
-        if op is BinaryOp.MUL:
-            return lambda a, b: a * b
-        if op is BinaryOp.EQ:
-            return lambda a, b: a == b
-        if op is BinaryOp.NE:
-            return lambda a, b: a != b
-        if op is BinaryOp.LT:
-            return lambda a, b: a < b
-        if op is BinaryOp.LE:
-            return lambda a, b: a <= b
-        if op is BinaryOp.GT:
-            return lambda a, b: a > b
-        if op is BinaryOp.GE:
-            return lambda a, b: a >= b
-        if op is BinaryOp.POW:
-            return lambda a, b: tetra_pow(a, b, span)
-        if op in (BinaryOp.DIV, BinaryOp.MOD):
-            if left_ty is None or right_ty is None:
-                raise missing(node, f"an operand of '{op.value}'")
-            both_int = (isinstance(left_ty, IntType)
-                        and isinstance(right_ty, IntType))
-            if both_int:
-                # Truncating toward zero; the rule generated code inlines.
-                return checked_applier(op, span)
-            if op is BinaryOp.DIV:
-                return lambda a, b: real_div(float(a), float(b), span)
-            return lambda a, b: real_mod(float(a), float(b), span)
-        raise TetraInternalError(
-            f"unhandled operator {op}"
-        )  # pragma: no cover
-
-    # ------------------------------------------------------------------
     # Race detection (compiled only when detect_races is on)
     # ------------------------------------------------------------------
-    # Each hook runs where the access happens: after the site's charge and
-    # type check, before the read or write itself.  Tuple and string
-    # elements are immutable, so their index loads compile as usual.  The
-    # generated code notes names and array elements the same way
-    # (:func:`repro.interp.generate.note_name` and ``note_element``).
+    # The generated code feeds every shared name, element and field access
+    # to one of the two notes (:func:`repro.interp.generate.note_name`,
+    # ``note_element`` and ``note_field``), after the access's charge and
+    # type check and before the read or write itself.
 
     def _race_note(self, is_write: bool):
         """``note(ctx, key, display, span, pin)``: feed one shared access to
@@ -1037,25 +495,9 @@ class _Compiler:
         return run
 
 
-
 _STMT_BUILDERS = {
-    AugAssign: _Compiler._aug_assign_once,
-    Unpack: _Compiler._stmt_unpack,
-    Declare: _Compiler._stmt_declare,
     ParallelFor: _Compiler._stmt_parallel_for,
     ParallelBlock: _Compiler._stmt_parallel_block,
     BackgroundBlock: _Compiler._stmt_background_block,
     LockStmt: _Compiler._stmt_lock,
-    TryStmt: _Compiler._stmt_try,
-}
-
-_EXPR_BUILDERS = {
-    ArrayLiteral: _Compiler._expr_array_literal,
-    TupleLiteral: _Compiler._expr_tuple_literal,
-    DictLiteral: _Compiler._expr_dict_literal,
-    RangeLiteral: _Compiler._expr_range_literal,
-    Index: _Compiler._expr_index,
-    Attribute: _Compiler._expr_attribute,
-    MethodCall: _Compiler._expr_method_call,
-    Call: _Compiler._expr_call,
 }

@@ -1,31 +1,40 @@
-"""Generated code: the one statement compiler.
+"""Generated code: the one statement and expression compiler.
 
 :meth:`repro.interp.compile._Compiler.block` hands every block — and
 every lone statement, a ``parallel:`` child or a REPL line — to
 :func:`generate_block`, which writes it as the source of one Python
-function; :func:`generate_value` does the same for an expression a
-closure evaluates.  A loop's iteration then costs the
-bytecode of its statements, not one closure call per AST node.
+function; :func:`generate_value` does the same for a lone expression (a
+``parallel for``'s iterable, a debugger console expression).  A loop's
+iteration then costs the bytecode of its statements, not one closure
+call per AST node.
 
-The generated vocabulary:
+The generated vocabulary is the whole language but for ``lock`` and the
+parallel constructs, which hand a generated body to the backend (see
+:mod:`repro.interp.compile`):
 
 * variable reads and writes: locals through ``frame.vars``, ``parallel
   for`` induction variables (and, under race detection, every name)
   through the thread's environment, and stores into real and tuple slots
   through :func:`coerce_to`; literals;
-* assignments, and ``op=`` with any operator;
+* assignments, ``Declare``, ``Unpack``, and ``op=`` with any operator; a
+  field or element ``op=`` whose target holds a call evaluates the target
+  once;
 * the total operators (``+ - * == != < <= > >=``, unary ``-`` and
   ``not``, ``and``/``or``); int ``/`` and ``%`` as Python's ``//`` and
   ``%`` when the dividend is non-negative and the divisor positive, with
   :func:`int_div` / :func:`int_mod` and the operator's span otherwise;
-  the other operators through the closure compiler's two-argument applier;
+  ``**`` and real ``/`` and ``%`` as calls to :func:`tetra_pow`,
+  :func:`real_div` and :func:`real_mod`;
 * array element load, store and ``op=``, with the bounds test inline and
   :meth:`TetraArray.get` / :meth:`TetraArray.set` raising the
-  out-of-range diagnostic;
-* ``len(array)`` and calls through the bound function invokers;
+  out-of-range diagnostic; dict, tuple and string elements; fields;
+* array, tuple, dict and range literals;
+* calls through the bound function and method invokers, constructors,
+  and the builtins (``clock()`` reads the backend's clock);
 * ``if``/``elif``/``else``, ``while`` and ``for``, with ``break``,
   ``continue`` and ``return`` as Python's own inside a generated loop and
   as completion values (:mod:`repro.interp.control`) at the block's top;
+  ``try`` as Python's own ``try``/``except``;
 * the stop poll at every loop back-edge; under a step budget it counts
   the step and compares the count with ``Interpreter._budget`` instead,
   and without one the source is the same as if budgets did not exist;
@@ -35,18 +44,16 @@ The generated vocabulary:
 * under cost accounting (the simulator), each node's ``charge`` where
   the node does its work: after its operands, before its action;
 * under race detection, each shared access's note after the access's
-  charge and before the access itself.
+  charge and type check and before the access itself;
+* under a memory limit, each allocation site's ``track_value``.
 
-Any other statement or expression — ``print`` and the other builtins,
-constructors, method calls, fields, dict and string elements, collection
-literals, ``lock``, ``try``, the parallel constructs, ``Unpack`` and
-``Declare`` — is compiled by the closure compiler, and the generated code
-calls that closure and passes its completion on.  A variable read before
-any assignment raises the closures' internal error.
+A variable read before any assignment raises the internal error
+:meth:`Environment.get` raises.
 
-No program text reaches the generated source.  Every name, literal, span,
-invoker and closure is a parameter of the factory that builds the
-function (``_make(_i, _a0, _a1, ...)``), so the source depends only on the
+No program text reaches the generated source.  Every name (of a
+variable, field, method or class), literal, dict key, span, invoker and
+closure is a parameter of the factory that builds the function
+(``_make(_i, _a0, _a1, ...)``), so the source depends only on the
 program's shape, and edits that rename variables or change constants
 share one code object.  Code objects live in a bounded LRU keyed by the
 source text.  The writer is total: a body nested deeper than
@@ -61,10 +68,23 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 
-from ..errors import TetraInternalError
-from ..runtime import Frame, coerce_to, int_div, int_mod
+from ..errors import TetraInternalError, TetraRuntimeError, is_catchable
+from ..runtime import (
+    Frame,
+    coerce_to,
+    int_div,
+    int_mod,
+    make_array,
+    real_div,
+    real_mod,
+    tetra_pow,
+)
+from ..runtime.values import TetraArray, TetraDict, TetraObject, TetraTuple
+from ..stdlib.registry import BUILTINS
 from ..tetra_ast import (
+    ArrayLiteral,
     Assign,
+    Attribute,
     AugAssign,
     BinaryOp,
     BinOp,
@@ -72,6 +92,8 @@ from ..tetra_ast import (
     Break,
     Call,
     Continue,
+    Declare,
+    DictLiteral,
     ExprStmt,
     For,
     If,
@@ -80,17 +102,31 @@ from ..tetra_ast import (
     MethodCall,
     Name,
     Pass,
+    RangeLiteral,
     RealLiteral,
     Return,
     StringLiteral,
+    TryStmt,
+    TupleLiteral,
     Unary,
     UnaryOp,
+    Unpack,
     While,
     unparse,
     walk,
     walk_statements,
 )
-from ..types import ArrayType, IntType, RealType, TupleType
+from ..types import (
+    INT,
+    ArrayType,
+    ClassType,
+    DictType,
+    IntType,
+    RealType,
+    StringType,
+    TupleType,
+    from_type_expr,
+)
 from .control import BREAK, CONTINUE, RETURN
 
 #: The most code objects the cache keeps; the least recently used go first.
@@ -98,16 +134,22 @@ CACHE_SIZE = 512
 
 #: Nested bodies written inline; a deeper body is a function of its own.
 #: Each level adds one indentation level and at most one of CPython's 20
-#: statically nested blocks (the function's ``try`` is another).
+#: statically nested blocks (the function's ``try`` is another; a
+#: ``catch`` body counts two levels).
 MAX_NESTING = 10
 
 #: Expression nodes written inline; a deeper sub-expression is a function
-#: of its own.  A node adds at most four levels of parentheses, which
+#: of its own.  A node adds at most five levels of parentheses, which
 #: keeps a source well inside CPython's 200 and its compiler's recursion.
 MAX_EXPR_DEPTH = 20
 
 _cache: OrderedDict[str, object] = OrderedDict()
 _cache_lock = threading.Lock()
+
+_NO_FIELDS = "only class instances have fields"
+_NO_METHODS = "only class instances have methods"
+_IMMUTABLE = ("only array and dict elements can be assigned through an "
+              "index (strings are immutable)")
 
 
 def unbound_error(ctx, exc: KeyError) -> TetraInternalError:
@@ -127,8 +169,47 @@ def note_name(note, ctx, name, span) -> None:
 
 
 def note_element(note, ctx, base, index, prefix, span) -> None:
-    """Feed an array element access to the race note."""
+    """Feed an array or dict element access to the race note."""
     note(ctx, (id(base), index), f"{prefix}[{index!r}]", span, base)
+
+
+def note_field(note, ctx, base, name, span) -> None:
+    """Feed a field access to the race note."""
+    note(ctx, (id(base), name), f"{base.class_name}.{name}", span, base)
+
+
+def fail(interp, message, span):
+    """Raise the runtime error ``message`` at ``span``."""
+    raise interp._err(TetraRuntimeError, message, span)
+
+
+def string_char(interp, text, index, span):
+    """``text[index]``, or the out-of-range diagnostic."""
+    if not 0 <= index < len(text):
+        raise interp._err(
+            TetraRuntimeError,
+            f"index {index} is out of range for a string of length "
+            f"{len(text)}",
+            span,
+        )
+    return text[index]
+
+
+def call_builtin(interp, invoke, args, span):
+    """A builtin's result; its runtime errors carry the program's
+    source."""
+    try:
+        return invoke(args, interp.io, span)
+    except TetraRuntimeError as exc:
+        if exc.source is None and interp.source is not None:
+            exc.attach_source(interp.source)
+        raise
+
+
+def tracked(heap, value, span):
+    """``value``, once the memory meter has charged for it."""
+    heap.track_value(value, span)
+    return value
 
 
 #: The generated functions' globals: helpers only, and no builtins.
@@ -138,14 +219,33 @@ _GLOBALS = {
     "_CONTINUE": CONTINUE,
     "_RETURN": RETURN,
     "_KeyError": KeyError,
+    "_RuntimeError": TetraRuntimeError,
     "_len": len,
     "_next": next,
+    "_float": float,
+    "_list": list,
+    "_range": range,
+    "_isinstance": isinstance,
+    "_Array": TetraArray,
+    "_Dict": TetraDict,
+    "_Object": TetraObject,
+    "_Tuple": TetraTuple,
+    "_make_array": make_array,
     "_int_div": int_div,
     "_int_mod": int_mod,
+    "_real_div": real_div,
+    "_real_mod": real_mod,
+    "_pow": tetra_pow,
     "_unbound": unbound_error,
     "_coerce": coerce_to,
+    "_catchable": is_catchable,
+    "_fail": fail,
+    "_char": string_char,
+    "_builtin": call_builtin,
+    "_tracked": tracked,
     "_note_name": note_name,
     "_note_elem": note_element,
+    "_note_field": note_field,
     # Where a statement's span goes when its thread has no call stack.
     "_NOFRAME": Frame("<toplevel>"),
 }
@@ -165,6 +265,10 @@ _AUG_SYMBOLS = {BinaryOp.ADD: "+", BinaryOp.SUB: "-", BinaryOp.MUL: "*"}
 #: truncating helper that owns the zero-divisor diagnostic.
 _CHECKED = {BinaryOp.DIV: ("//", "_int_div"), BinaryOp.MOD: ("%", "_int_mod")}
 
+#: ``**`` and real ``/`` and ``%``: the runtime's checked functions.
+_CALLED = {BinaryOp.POW: "_pow", BinaryOp.DIV: "_real_div",
+           BinaryOp.MOD: "_real_mod"}
+
 
 def generate_block(comp, statements):
     """``statements`` as one generated function taking a thread context
@@ -176,35 +280,11 @@ def generate_block(comp, statements):
 
 
 def generate_value(comp, e):
-    """A function returning ``e``'s value: generated, or the closure
-    compiler's closure for an expression outside the vocabulary."""
+    """``e`` as one generated function taking a thread context and
+    returning the value."""
     writer = _Writer(comp)
-    code = writer.node(e)
-    if code is None:
-        return comp.fallback_expr(e)
-    writer.emit(f"return {code}")
+    writer.emit(f"return {writer.expr(e)}")
     return writer.function()
-
-
-def generate_store(comp, target):
-    """A function ``(ctx, value)`` storing into a name or an array
-    element, as an assignment would."""
-    writer = _Writer(comp)
-    if type(target) is Name:
-        writer.store_name(target, "_v")
-    else:
-        writer.store_element(target, "_v")
-    return writer.function("_c, _v")
-
-
-def checked_applier(op, span):
-    """int ``a / b`` or ``a % b`` as a two-argument function, written by
-    the same rule the generated code inlines."""
-    writer = _Writer(None)
-    code = writer.checked(op, "_x", "_y", span)
-    make = _factory("def _make(_a0):\n"
-                    f"    return lambda _x, _y: {code}\n")
-    return make(*writer.values)
 
 
 def _factory(text: str):
@@ -227,11 +307,15 @@ def _factory(text: str):
     return make
 
 
-def _is_checked(op, left, right) -> bool:
+def _is_checked(op, left, right, node) -> bool:
     """True for int ``/`` or ``%``: ``left`` and ``right`` are the operand
-    (or target and value) nodes."""
-    return (op in _CHECKED and isinstance(left.ty, IntType)
-            and isinstance(right.ty, IntType))
+    (or target and value) nodes of ``node``, which picks int or real from
+    their types."""
+    if op not in _CHECKED:
+        return False
+    if left.ty is None or right.ty is None:
+        raise missing(node, f"an operand of '{op.value}'")
+    return isinstance(left.ty, IntType) and isinstance(right.ty, IntType)
 
 
 def missing(node, what: str) -> TetraInternalError:
@@ -256,6 +340,16 @@ def _coercion(ty, value):
             and isinstance(value.ty, RealType)):
         return None
     return widening(ty)
+
+
+def _element_type(target):
+    """The type an element or field store coerces to: an array's element
+    or a dict's value type; None for a field (which coerces itself) or a
+    string element (whose store fails)."""
+    ty = target.base.ty
+    if isinstance(ty, ArrayType):
+        return ty.element
+    return ty.value if isinstance(ty, DictType) else None
 
 
 def _may_complete(stmt) -> bool:
@@ -287,8 +381,8 @@ class _Writer:
         self._depth = 0
         #: True once a prologue stores spans through ``_fr``.
         self._framed = False
-        self.acc = comp is not None and comp.acc
-        self.race = comp.race if comp is not None else None
+        self.acc = comp.acc
+        self.race = comp.race
         #: Locals live in the frame dict and elements are tested inline:
         #: nothing to charge and no access to note.
         self.fast = not self.acc and self.race is None
@@ -310,7 +404,7 @@ class _Writer:
         return self._slot(("name", name), name)
 
     def const(self, value) -> str:
-        """A parameter bound to a literal's value."""
+        """A parameter bound to a literal's value (or a field name)."""
         return self._slot(("const", type(value), repr(value)), value)
 
     def function(self, params: str = "_c"):
@@ -357,6 +451,33 @@ class _Writer:
         held = "".join(f"({t} := {o}), " for t, o in zip(temps, operands))
         return f"({held}{self.charge_call(units)}, {action(*temps)})[-1]"
 
+    def sized(self, items: str, build) -> str:
+        """``build`` over the collection ``items`` (a source); under cost
+        accounting one array element's charge per item, and at least one,
+        comes between."""
+        if not self.acc:
+            return build(items)
+        held = self.temp()
+        per = self.const(self.comp.cost.array_element)
+        return (f"(({held} := {items}), {self.bound(self.comp.charge)}(_c, "
+                f"{per} * (_len({held}) or 1)), {build(held)})[-1]")
+
+    def alloc(self, code: str, span) -> str:
+        """``code``, a value that may hold cells, metered under a memory
+        limit."""
+        heap = self.comp._heap
+        if heap is None:
+            return code
+        return f"_tracked({self.bound(heap)}, {code}, {self.bound(span)})"
+
+    def coerced(self, value: str, ty, node=None) -> str:
+        """``value`` (a source; ``node`` its value node, when known) as
+        stored into a slot of type ``ty``."""
+        widen = _coercion(ty, node)
+        if widen is None:
+            return value
+        return f"_coerce({value}, {self.bound(widen)})"
+
     def note(self, is_write: bool) -> str:
         return self.bound(self.comp.race_notes[is_write])
 
@@ -371,8 +492,10 @@ class _Writer:
         if not self.comp.lean:
             self.prologue(s)
         write = _STMT_WRITERS.get(type(s))
-        if write is None or not write(self, s):
-            self.pass_on(self.comp.fallback_stmt(s), s)
+        if write is None:
+            self.pass_on(self.comp.backend_stmt(s), s)
+        else:
+            write(self, s)
 
     def prologue(self, s) -> None:
         """The full per-statement prologue: stop flag, guardrail, current
@@ -407,13 +530,15 @@ class _Writer:
             self.emit(f"    if {done} is _CONTINUE: continue")
         self.emit(f"    return {done}")
 
-    def nested(self, body) -> None:
+    def nested(self, body, weight: int = 1) -> None:
+        """Write ``body`` one indentation level in; ``weight`` is the
+        number of CPython's nested blocks around it."""
         self._indent += "    "
-        if self._nesting < MAX_NESTING:
-            self._nesting += 1
+        if self._nesting + weight <= MAX_NESTING:
+            self._nesting += weight
             for s in body.statements:
                 self.statement(s)
-            self._nesting -= 1
+            self._nesting -= weight
         else:
             self.pass_on(generate_block(self.comp, body.statements), body)
         self._indent = self._indent[:-4]
@@ -424,30 +549,44 @@ class _Writer:
                 else f"_next({self.bound(steps)}) > _i._budget")
         self.emit(f"    if {test}: raise _i._stop_error({self.bound(span)})")
 
-    def expr_stmt(self, s: ExprStmt) -> bool:
+    def expr_stmt(self, s: ExprStmt) -> None:
         self.emit(self.expr(s.expr))
-        return True
 
-    def assign(self, s: Assign) -> bool:
-        target = s.target
-        if type(target) is Name:
-            self.name(target.id)  # the target's slot comes first
-            self.store_name(target, self.expr(s.value), s.value)
-        elif type(target) is Index and isinstance(target.base.ty, ArrayType):
-            self.store_element(target, self.expr(s.value), s.value)
+    def assign(self, s: Assign) -> None:
+        if type(s.target) is Name:
+            self.name(s.target.id)  # the target's slot comes first
+        self.store(s.target, self.expr(s.value), s.value)
+
+    def declare(self, s: Declare) -> None:
+        """A declaration binds like a first assignment, with no charge and
+        no race note."""
+        value = self.coerced(self.expr(s.value),
+                             from_type_expr(s.declared_type), s.value)
+        if s.name in self.comp._induction:
+            self.emit(f"_c.env.set({self.name(s.name)}, {value})")
         else:
-            # A field or a dict element: the closure compiler's store.
-            self.emit(f"{self.bound(self.comp._store(target))}(_c, "
-                      f"{self.expr(s.value)})")
-        return True
+            self.emit(f"_fv[{self.name(s.name)}] = {value}")
+
+    def unpack(self, s: Unpack) -> None:
+        items = self.temp()
+        self.emit(f"{items} = {self.expr(s.value)}.items")
+        for n, target in enumerate(s.targets):
+            self.store(target, f"{items}[{n}]")
+
+    def store(self, target, value: str, node=None) -> None:
+        """Store ``value`` (a source; ``node`` its value node, when known)
+        into an assignment target."""
+        if type(target) is Name:
+            self.store_name(target, value, node)
+        else:
+            self.store_element(target, value, node)
 
     def store_name(self, target: Name, value: str, node=None) -> None:
-        """Store ``value`` (a source) into the variable ``target``: the
-        charge and the race note come after the value."""
+        """Store ``value`` into the variable ``target``: the charge and
+        the race note come after the value."""
         ref = self.name(target.id)
         if target.ty is None:
             raise missing(target, f"assignment target '{target.id}'")
-        widen = _coercion(target.ty, node)
         if not self.fast:
             held = self.temp()
             self.emit(f"{held} = {value}")
@@ -457,57 +596,98 @@ class _Writer:
             if self.race is not None:
                 self.emit(f"_note_name({self.note(True)}, _c, {ref}, "
                           f"{self.bound(target.span)})")
-        if widen is not None:
-            value = f"_coerce({value}, {self.bound(widen)})"
+        value = self.coerced(value, target.ty, node)
         if self.private(target.id):
             self.emit(f"_c.env.set({ref}, {value})")
         else:
             self.emit(f"_fv[{ref}] = {value}")
 
-    def store_element(self, target: Index, value: str, node=None) -> None:
-        """Store ``value`` into an array element.  The value is evaluated
-        first, then the array, then the index."""
-        widen = _coercion(target.base.ty.element, node)
+    def store_element(self, target, value: str, node=None) -> None:
+        """Store ``value`` into an element or a field.  The value is
+        evaluated first, then the base, then the index."""
         if not isinstance(node, _LITERALS) or not self.fast:
             held = self.temp()
             self.emit(f"{held} = {value}")
             value = held
-        if widen is not None:
-            value = f"_coerce({value}, {self.bound(widen)})"
-        if self.fast:
-            items, base, index = self.temp(), self.temp(), self.temp()
-            self.emit(f"{items} = ({base} := {self.expr(target.base)})"
-                      ".items")
-            self.emit(f"if _len({items}) > ({index} := "
-                      f"{self.expr(target.index)}) >= 0:")
-            self.emit(f"    {items}[{index}] = {value}")
-            self.emit("else:")
-            self.emit(f"    {base}.set({index}, {value}, "
-                      f"{self.bound(target.span)})")
+        if not (self.fast and isinstance(target.base.ty, ArrayType)):
+            base, key = self.hold_target(target)
+            self.put(target, base, key, value, node)
             return
+        value = self.coerced(value, target.base.ty.element, node)
+        items, base, index = self.temp(), self.temp(), self.temp()
+        self.emit(f"{items} = ({base} := {self.expr(target.base)})"
+                  ".items")
+        self.emit(f"if _len({items}) > ({index} := "
+                  f"{self.expr(target.index)}) >= 0:")
+        self.emit(f"    {items}[{index}] = {value}")
+        self.emit("else:")
+        self.emit(f"    {base}.set({index}, {value}, "
+                  f"{self.bound(target.span)})")
+
+    def hold_target(self, target) -> tuple[str, str]:
+        """Evaluate an element's base and index (a field's base) into
+        temporaries: the base and the key, as sources."""
+        if type(target) is Attribute:
+            base = self.temp()
+            self.emit(f"{base} = {self.expr(target.base)}")
+            return base, self.const(target.attr)
         base, index = self.temp(), self.temp()
         self.emit(f"{base} = {self.expr(target.base)}")
         self.emit(f"{index} = {self.expr(target.index)}")
+        return base, index
+
+    def put(self, target, base: str, key: str, value: str,
+            node=None) -> None:
+        """Store ``value`` at ``key`` of the evaluated ``base``, after the
+        store's charge, type check and race note."""
+        for part in self.access(target, base, key, True):
+            self.emit(part)
+        value = self.coerced(value, _element_type(target), node)
+        span = self.bound(target.span)
+        if type(target) is Attribute or isinstance(target.base.ty,
+                                                   ArrayType):
+            self.emit(f"{base}.set({key}, {value}, {span})")
+        elif isinstance(target.base.ty, DictType):
+            self.emit(f"{base}.set({key}, {value})")
+
+    def access(self, e, base: str, key: str, is_write: bool) -> list[str]:
+        """The charge, type check and race note of a field or element
+        access to the evaluated ``base`` and ``key``, in that order, as
+        expressions.  Tuple and string elements are immutable, so they
+        take no note."""
+        base_ty = e.base.ty
+        parts = []
         if self.acc:
-            self.charge(self.comp.cost.index_store)
-        if self.race is not None:
-            self.emit(self.element_note(target, True, base, index))
-        self.emit(f"{base}.set({index}, {value}, {self.bound(target.span)})")
+            cost = self.comp.cost
+            parts.append(self.charge_call(cost.index_store if is_write
+                                          else cost.index_load))
+        if type(e) is Attribute:
+            parts.append(f"_isinstance({base}, _Object) or _fail(_i, "
+                         f"{self.const(_NO_FIELDS)}, {self.bound(e.span)})")
+            if self.race is not None:
+                parts.append(f"_note_field({self.note(is_write)}, _c, "
+                             f"{base}, {key}, {self.bound(e.span)})")
+        elif is_write and not isinstance(base_ty, (ArrayType, DictType)):
+            parts.append(f"_fail(_i, {self.const(_IMMUTABLE)}, "
+                         f"{self.bound(e.span)})")
+        elif (self.race is not None
+              and isinstance(base_ty, (ArrayType, DictType))):
+            parts.append(self.element_note(e, is_write, base, key))
+        return parts
 
     def element_note(self, e: Index, is_write: bool, base: str,
                      index: str) -> str:
         return (f"_note_elem({self.note(is_write)}, _c, {base}, {index}, "
                 f"{self.bound(unparse(e.base))}, {self.bound(e.span)})")
 
-    def aug_assign(self, s: AugAssign) -> bool:
+    def aug_assign(self, s: AugAssign) -> None:
         target = s.target
         op = s.op
-        array = (type(target) is Index
-                 and isinstance(target.base.ty, ArrayType))
         if (self.fast and type(target) is Name
                 and target.id not in self.comp._induction):
             ref = f"_fv[{self.name(target.id)}]"
-        elif (self.fast and array
+        elif (self.fast and type(target) is Index
+              and isinstance(target.base.ty, ArrayType)
               and not isinstance(target.base.ty.element, TupleType)):
             # A real element needs no coercion here: a real operand on
             # either side makes the result a real already.  The array and
@@ -519,71 +699,70 @@ class _Writer:
                       f"{self.expr(target.index)}) >= 0:")
             self.emit(f"    {base}.get({index}, {self.bound(target.span)})")
             ref = f"{items}[{index}]"
+        elif type(target) is Name or not _has_call(target):
+            return self.aug_assign_twice(s)
         else:
-            return self.aug_assign_twice(s, array)
+            return self.aug_assign_once(s)
         symbol = _AUG_SYMBOLS.get(op)
         if symbol is not None:
             self.emit(f"{ref} {symbol}= {self.expr(s.value)}")
-            return True
-        if _is_checked(op, target, s.value):
+            return
+        if _is_checked(op, target, s.value, s):
             value = self.checked_node(op, ref, s.value, s.span)
         else:
-            apply = self.comp._binop_apply(op, target.ty, s.value.ty,
-                                           s.span, s)
-            value = f"{self.bound(apply)}({ref}, {self.expr(s.value)})"
-        if type(target) is Name and widening(target.ty) is not None:
-            value = f"_coerce({value}, {self.bound(target.ty)})"
+            value = self.called(op, ref, self.expr(s.value), s.span)
+        if type(target) is Name:
+            value = self.coerced(value, target.ty)
         self.emit(f"{ref} = {value}")
-        return True
 
-    def aug_assign_twice(self, s: AugAssign, array: bool) -> bool:
-        """``t op= v`` as a load of ``t``, ``v``, the operator and a store
-        into ``t``, each access with its charge and note: a call-free
-        target is evaluated twice.  A target with a call is the closure
-        compiler's (it evaluates the target once)."""
-        target = s.target
-        if type(target) is not Name and _has_call(target):
-            return False
-        current, operand = self.temp(), self.temp()
-        self.emit(f"{current} = {self.expr(target)}")
-        self.emit(f"{operand} = {self.expr(s.value)}")
+    def aug_value(self, s: AugAssign, current: str, operand: str) -> str:
+        """``current op operand`` for ``s``'s operator, both sources
+        evaluated already."""
         op = s.op
         symbol = _AUG_SYMBOLS.get(op)
         if symbol is not None:
-            value = f"{current} {symbol} {operand}"
-        elif _is_checked(op, target, s.value):
-            value = self.checked(op, current, operand, s.span)
-        else:
-            apply = self.comp._binop_apply(op, target.ty, s.value.ty,
-                                           s.span, s)
-            value = f"{self.bound(apply)}({current}, {operand})"
-        if type(target) is Name:
-            self.store_name(target, value)
-        elif array:
-            self.store_element(target, value)
-        else:
-            self.emit(f"{self.bound(self.comp._store(target))}(_c, {value})")
-        return True
+            return f"{current} {symbol} {operand}"
+        if _is_checked(op, s.target, s.value, s):
+            return self.checked(op, current, operand, s.span)
+        return self.called(op, current, operand, s.span)
 
-    def return_(self, s: Return) -> bool:
+    def aug_assign_twice(self, s: AugAssign) -> None:
+        """``t op= v`` as a load of ``t``, ``v``, the operator and a store
+        into ``t``, each access with its charge and note: a call-free
+        target is evaluated twice."""
+        current, operand = self.temp(), self.temp()
+        self.emit(f"{current} = {self.expr(s.target)}")
+        self.emit(f"{operand} = {self.expr(s.value)}")
+        self.store(s.target, self.aug_value(s, current, operand))
+
+    def aug_assign_once(self, s: AugAssign) -> None:
+        """``t[k] op= v`` or ``o.f op= v`` whose target contains a call:
+        the base and the index are evaluated once, and the load and the
+        store share them, each with its charge and race note."""
+        target = s.target
+        base, key = self.hold_target(target)
+        current, operand = self.temp(), self.temp()
+        for part in self.access(target, base, key, False):
+            self.emit(part)
+        self.emit(f"{current} = {self.load(target, base, key)}")
+        self.emit(f"{operand} = {self.expr(s.value)}")
+        self.put(target, base, key, self.aug_value(s, current, operand))
+
+    def return_(self, s: Return) -> None:
         # No Tetra value is None, so a returned value is its completion.
         self.emit("return _RETURN" if s.value is None
                   else f"return {self.expr(s.value)}")
-        return True
 
-    def break_(self, s: Break) -> bool:
+    def break_(self, s: Break) -> None:
         self.emit("break" if self._loops else "return _BREAK")
-        return True
 
-    def continue_(self, s: Continue) -> bool:
+    def continue_(self, s: Continue) -> None:
         self.emit("continue" if self._loops else "return _CONTINUE")
-        return True
 
-    def pass_(self, s: Pass) -> bool:
+    def pass_(self, s: Pass) -> None:
         self.emit("pass")
-        return True
 
-    def if_(self, s: If) -> bool:
+    def if_(self, s: If) -> None:
         if self.acc:
             self.charge(self.comp.cost.branch)
         self.emit(f"if {self.expr(s.cond)}:")
@@ -594,14 +773,13 @@ class _Writer:
         if s.orelse is not None:
             self.emit("else:")
             self.nested(s.orelse)
-        return True
 
     def loop_body(self, body) -> None:
         self._loops += 1
         self.nested(body)
         self._loops -= 1
 
-    def while_(self, s: While) -> bool:
+    def while_(self, s: While) -> None:
         if self.acc:
             # The charge comes before each test of the condition.
             self.emit("while True:")
@@ -611,9 +789,8 @@ class _Writer:
             self.emit(f"while {self.expr(s.cond)}:")
         self.poll(s.span)
         self.loop_body(s.body)
-        return True
 
-    def for_(self, s: For) -> bool:
+    def for_(self, s: For) -> None:
         item = self.temp()
         self.emit(f"for {item} in _i._iterate({self.expr(s.iterable)}, "
                   f"{self.bound(s.span)}):")
@@ -625,25 +802,31 @@ class _Writer:
         else:
             self.emit(f"    _fv[{self.name(s.var)}] = {item}")
         self.loop_body(s.body)
-        return True
+
+    def try_(self, s: TryStmt) -> None:
+        """Python's own ``try``: the catch binds the message of a
+        catchable runtime error, with no charge and no race note."""
+        error = self.temp()
+        self.emit("try:")
+        self.nested(s.body)
+        self.emit(f"except _RuntimeError as {error}:")
+        self.emit(f"    if not _catchable({error}): raise")
+        self.emit(f"    _c.env.set({self.name(s.error_name)}, "
+                  f"{error}.message)")
+        # The handler and its cleanup are two of CPython's nested blocks.
+        self.nested(s.handler, weight=2)
 
     # -- expressions ----------------------------------------------------
     def expr(self, e) -> str:
-        """Source for ``e``'s value; a closure call outside the
-        vocabulary."""
-        code = self.node(e)
-        if code is None:
-            code = f"{self.bound(self.comp.fallback_expr(e))}(_c)"
-        return code
-
-    def node(self, e) -> str | None:
-        """Source for ``e``'s value, or None outside the vocabulary."""
-        write = _EXPR_WRITERS.get(type(e))
-        if write is None:
-            return None
-        if self._depth >= MAX_EXPR_DEPTH and type(e) in _INNER:
-            run = generate_value(self.comp, e)
-            return f"{self.bound(run)}(_c)"
+        """Source for ``e``'s value."""
+        try:
+            write = _EXPR_WRITERS[type(e)]
+        except KeyError:  # pragma: no cover - parser emits no other kinds
+            raise TetraInternalError(
+                f"fast path has no compiler for {type(e).__name__}", e.span
+            ) from None
+        if self._depth >= MAX_EXPR_DEPTH and type(e) not in _LEAVES:
+            return f"{self.bound(generate_value(self.comp, e))}(_c)"
         self._depth += 1
         code = write(self, e)
         self._depth -= 1
@@ -695,16 +878,22 @@ class _Writer:
         if symbol is not None:
             return self.after(units, [self.expr(e.left), self.expr(e.right)],
                               lambda a, b: f"({a} {symbol} {b})")
-        if _is_checked(op, e.left, e.right):
+        if _is_checked(op, e.left, e.right, e):
             if not self.acc:
                 return self.checked_node(op, self.expr(e.left), e.right,
                                          e.span)
             return self.after(units, [self.expr(e.left), self.expr(e.right)],
                               lambda a, b: self.checked(op, a, b, e.span))
-        apply = self.bound(self.comp._binop_apply(op, e.left.ty, e.right.ty,
-                                                  e.span, e))
         return self.after(units, [self.expr(e.left), self.expr(e.right)],
-                          lambda a, b: f"{apply}({a}, {b})")
+                          lambda a, b: self.called(op, a, b, e.span))
+
+    def called(self, op, left: str, right: str, span) -> str:
+        """``left ** right``, or real ``left / right`` or ``left % right``,
+        through the runtime function that owns the diagnostic."""
+        call = _CALLED[op]
+        if op is not BinaryOp.POW:
+            left, right = f"_float({left})", f"_float({right})"
+        return f"{call}({left}, {right}, {self.bound(span)})"
 
     def checked_node(self, op, left: str, right, span) -> str:
         """:meth:`checked` with the node ``right`` as the divisor; a
@@ -720,9 +909,7 @@ class _Writer:
         operator when ``left >= 0`` and ``right > 0``, else the truncating
         helper with ``span``, which owns the zero-divisor diagnostic.
         ``left`` is evaluated before ``right``; ``positive`` says ``right``
-        is a positive constant.  The one spelling of this rule: the
-        closure compiler's appliers are built from it too
-        (:func:`checked_applier`)."""
+        is a positive constant."""
         fast, slow = _CHECKED[op]
         where = self.bound(span)
         a = self.temp()
@@ -734,27 +921,45 @@ class _Writer:
                 f"(({b} := {right}) > 0) "
                 f"else {slow}({a}, {b}, {where}))")
 
-    def index(self, e: Index) -> str | None:
-        if not isinstance(e.base.ty, ArrayType):
-            return None
-        if self.fast:
+    def index(self, e: Index) -> str:
+        base_ty = e.base.ty
+        if not isinstance(base_ty, (ArrayType, DictType, TupleType,
+                                    StringType)):
+            raise missing(e.base, "an indexed expression")
+        if self.fast and isinstance(base_ty, ArrayType):
             items, base, index = self.temp(), self.temp(), self.temp()
             # The array is read before the index is evaluated.
             return (f"({items}[{index}] if _len({items} := ({base} := "
                     f"{self.expr(e.base)}).items) > ({index} := "
                     f"{self.expr(e.index)}) >= 0 else "
                     f"{base}.get({index}, {self.bound(e.span)}))")
+        if self.fast:
+            return self.load(e, self.expr(e.base), self.expr(e.index))
         base, index = self.temp(), self.temp()
-        parts = [f"({base} := {self.expr(e.base)})",
-                 f"({index} := {self.expr(e.index)})"]
-        if self.acc:
-            parts.append(self.charge_call(self.comp.cost.index_load))
-        if self.race is not None:
-            parts.append(self.element_note(e, False, base, index))
-        return (f"({', '.join(parts)}, "
-                f"{base}.get({index}, {self.bound(e.span)}))[-1]")
+        return self.loaded(e, [f"({base} := {self.expr(e.base)})",
+                               f"({index} := {self.expr(e.index)})"],
+                           base, index)
 
-    def call(self, e: Call) -> str | None:
+    def attribute(self, e: Attribute) -> str:
+        base = self.temp()
+        return self.loaded(e, [f"({base} := {self.expr(e.base)})"], base,
+                           self.const(e.attr))
+
+    def loaded(self, e, held: list[str], base: str, key: str) -> str:
+        """The load at ``key`` of ``base`` once ``held`` (sources that
+        bind them) are evaluated, with the access's charge, check and
+        note between."""
+        parts = [*held, *self.access(e, base, key, False),
+                 self.load(e, base, key)]
+        return f"({', '.join(parts)})[-1]"
+
+    def load(self, e, base: str, key: str) -> str:
+        """The read at ``key`` of ``base``, both evaluated."""
+        if isinstance(e.base.ty, StringType):
+            return f"_char(_i, {base}, {key}, {self.bound(e.span)})"
+        return f"{base}.get({key}, {self.bound(e.span)})"
+
+    def call(self, e: Call) -> str:
         comp = self.comp
         invoke = comp._invokers.get(e.func)
         if invoke is not None:
@@ -764,18 +969,118 @@ class _Writer:
                 and e.func not in comp.symbols.classes
                 and isinstance(e.args[0].ty, ArrayType)):
             return f"_len({self.expr(e.args[0])}.items)"
-        return None
+        info = comp.symbols.classes.get(e.func)
+        if info is not None:
+            return self.constructor(e, info)
+        builtin = BUILTINS.get(e.func)
+        if builtin is None:
+            raise TetraInternalError(
+                f"unknown function '{e.func}' at runtime", e.span
+            )
+        units = comp.cost.builtin_overhead
+        if e.func == "clock":
+            # clock() reports the backend's clock (virtual under sim and
+            # coop), which the builtin table cannot see.
+            return self.after(units, [],
+                              lambda: f"{self.bound(comp.backend)}.now()")
+        invoke = self.bound(builtin.invoke)
+        span = self.bound(e.span)
+        return self.alloc(self.after(
+            units, [self.expr(a) for a in e.args],
+            lambda *args: f"_builtin(_i, {invoke}, [{', '.join(args)}], "
+                          f"{span})"), e.span)
+
+    def constructor(self, e: Call, info) -> str:
+        cost = self.comp.cost
+        units = cost.call_overhead + cost.array_element * max(1, len(e.args))
+        # The type and order tables are immutable; every instance shares
+        # them.
+        types = self.bound(dict(zip(info.field_names, info.field_types)))
+        order = self.bound(list(info.field_names))
+
+        def build(*args):
+            fields = ", ".join(
+                f"{self.const(name)}: {self.coerced(arg, ty, node)}"
+                for name, ty, arg, node in zip(
+                    info.field_names, info.field_types, args, e.args))
+            return (f"_Object({self.const(info.name)}, {{{fields}}}, "
+                    f"{types}, {order})")
+
+        return self.alloc(self.after(
+            units, [self.expr(a) for a in e.args], build), e.span)
+
+    def method_call(self, e: MethodCall) -> str:
+        base_ty = e.base.ty
+        if not isinstance(base_ty, ClassType):
+            raise missing(e.base, "a method-call receiver")
+        invoke = self.comp._method_invokers.get((base_ty.name, e.method))
+        if invoke is None:
+            raise TetraInternalError(
+                f"call to unknown method '{base_ty.name}.{e.method}'"
+            )
+        args = self.temp()
+        items = ", ".join(self.expr(a) for a in (e.base, *e.args))
+        span = self.bound(e.span)
+        # The receiver and the arguments are evaluated before the check.
+        return (f"({self.bound(invoke)}({args}, _c, {span}) "
+                f"if _isinstance(({args} := [{items}])[0], _Object) "
+                f"else _fail(_i, {self.const(_NO_METHODS)}, {span}))")
+
+    def array_literal(self, e: ArrayLiteral) -> str:
+        ty = e.ty
+        if not isinstance(ty, ArrayType):
+            raise missing(e, "an array literal")
+        units = self.comp.cost.array_element * max(1, len(e.elements))
+        element = self.bound(ty.element)
+        return self.alloc(self.after(
+            units, [self.expr(x) for x in e.elements],
+            lambda *xs: f"_make_array([{', '.join(xs)}], {element})"),
+            e.span)
+
+    def tuple_literal(self, e: TupleLiteral) -> str:
+        ty = e.ty
+        if not isinstance(ty, TupleType):
+            raise missing(e, "a tuple literal")
+        units = self.comp.cost.array_element * len(e.elements)
+
+        def build(*xs):
+            xs = map(self.coerced, xs, ty.elements, e.elements)
+            return f"_Tuple([{', '.join(xs)}])"
+
+        return self.alloc(self.after(
+            units, [self.expr(x) for x in e.elements], build), e.span)
+
+    def dict_literal(self, e: DictLiteral) -> str:
+        ty = e.ty
+        if not isinstance(ty, DictType):
+            raise missing(e, "a dict literal")
+        entries = ", ".join(
+            f"{self.expr(k)}: {self.coerced(self.expr(v), ty.value, v)}"
+            for k, v in e.entries)
+        types = f"{self.bound(ty.key)}, {self.bound(ty.value)}"
+        return self.alloc(self.sized(
+            f"{{{entries}}}",
+            lambda items: f"_Dict({items}, {types})"), e.span)
+
+    def range_literal(self, e: RangeLiteral) -> str:
+        items = (f"_list(_range({self.expr(e.start)}, "
+                 f"{self.expr(e.stop)} + 1))")
+        return self.alloc(self.sized(
+            items, lambda held: f"_Array({held}, {self.bound(INT)})"),
+            e.span)
 
 
 _LITERALS = (IntLiteral, RealLiteral, StringLiteral, BoolLiteral)
 
-#: Expression nodes with operands: the ones that deepen a source.
-_INNER = (Unary, BinOp, Index, Call)
+#: Expression nodes without operands: the ones that never deepen a source.
+_LEAVES = (*_LITERALS, Name)
 
 _STMT_WRITERS = {
     ExprStmt: _Writer.expr_stmt,
     Assign: _Writer.assign,
     AugAssign: _Writer.aug_assign,
+    Declare: _Writer.declare,
+    Unpack: _Writer.unpack,
     Return: _Writer.return_,
     Break: _Writer.break_,
     Continue: _Writer.continue_,
@@ -783,6 +1088,7 @@ _STMT_WRITERS = {
     If: _Writer.if_,
     While: _Writer.while_,
     For: _Writer.for_,
+    TryStmt: _Writer.try_,
 }
 
 _EXPR_WRITERS = {
@@ -794,5 +1100,11 @@ _EXPR_WRITERS = {
     Unary: _Writer.unary,
     BinOp: _Writer.binop,
     Index: _Writer.index,
+    Attribute: _Writer.attribute,
     Call: _Writer.call,
+    MethodCall: _Writer.method_call,
+    ArrayLiteral: _Writer.array_literal,
+    TupleLiteral: _Writer.tuple_literal,
+    DictLiteral: _Writer.dict_literal,
+    RangeLiteral: _Writer.range_literal,
 }

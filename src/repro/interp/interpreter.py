@@ -248,7 +248,7 @@ class Interpreter:
         return self._race.reports if self._race is not None else []
 
     # ------------------------------------------------------------------
-    # Shared by the compiled closures
+    # Shared by the compiled code
     # ------------------------------------------------------------------
     def _iterate(self, iterable_value: Value, span: Span) -> list[Value]:
         """Materialize the items a for-loop visits."""

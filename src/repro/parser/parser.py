@@ -156,6 +156,16 @@ class Parser:
             f"{message}, but found {got}", span or tok.span
         ).attach_source(self.source)
 
+    def too_deep(self) -> TetraSyntaxError:
+        """The error for Python's recursion limit, at the token being
+        read: the descent takes about eleven frames per parenthesis, so
+        the limit, not a constant, bounds how deeply a program nests."""
+        return TetraSyntaxError(
+            "the program nests too deeply here to parse; split this "
+            "expression or block into smaller parts",
+            self.current.span,
+        ).attach_source(self.source)
+
     # ------------------------------------------------------------------
     # Program structure
     # ------------------------------------------------------------------
@@ -745,14 +755,21 @@ def parse_source(source: SourceFile | str, name: str = "<string>") -> Program:
     """Parse Tetra source text into a :class:`Program`."""
     if isinstance(source, str):
         source = SourceFile.from_string(source, name)
-    return Parser(source).parse_program()
+    parser = Parser(source)
+    try:
+        return parser.parse_program()
+    except RecursionError:
+        raise parser.too_deep() from None
 
 
 def parse_expression(text: str) -> Expr:
     """Parse a single expression (used by the debugger's ``print`` command)."""
     source = SourceFile.from_string(text, "<expr>")
     parser = Parser(source)
-    expr = parser.parse_expression()
+    try:
+        expr = parser.parse_expression()
+    except RecursionError:
+        raise parser.too_deep() from None
     parser.accept(_TT.NEWLINE)
     if not parser.at(_TT.EOF):
         raise parser.error("unexpected trailing input after the expression")

@@ -57,7 +57,7 @@ class SimBackend(Backend):
         return float(self.recorder.virtual_now())
 
     def charge(self, ctx, units: int) -> None:
-        self.recorder.charge(units)
+        self.recorder.current.charge(units)
         if self.obs is not None:
             self.obs.charge_units(ctx.id, units)
 
@@ -75,7 +75,7 @@ class SimBackend(Backend):
             # order-dependent results under `tetra stress`.
             jobs = plan.perturb_jobs(list(jobs))
         cm = self.cost_model
-        self.recorder.charge(cm.thread_spawn * len(jobs))
+        self.recorder.current.charge(cm.thread_spawn * len(jobs))
         children = self.recorder.begin_fork(
             [child_ctx.label for child_ctx, _ in jobs], join
         )
@@ -92,7 +92,7 @@ class SimBackend(Backend):
             finally:
                 self.recorder.exit_child()
         if join:
-            self.recorder.charge(cm.thread_join * len(jobs))
+            self.recorder.current.charge(cm.thread_join * len(jobs))
         rec = self._schedule_rec
         if rec is not None and join and jobs:
             # Coop parents pay one turn to resume from a join; synthesize
@@ -110,7 +110,7 @@ class SimBackend(Backend):
         cm = self.cost_model
         obs = self.obs
         t_req = self.now() if obs is not None else 0.0
-        self.recorder.charge(cm.lock_acquire)
+        self.recorder.current.charge(cm.lock_acquire)
         if not self.recorder.acquire(name):
             raise TetraDeadlockError(
                 f"{ctx.label} re-entered 'lock {name}:' it already holds — "
@@ -125,7 +125,7 @@ class SimBackend(Backend):
             body()
         finally:
             self.recorder.release(name)
-            self.recorder.charge(cm.lock_release)
+            self.recorder.current.charge(cm.lock_release)
             if obs is not None:
                 # Recording is sequential; modelled waiting appears in the
                 # machine schedule, not here.

@@ -134,19 +134,15 @@ class TraceRecorder:
         self._next_id = 0
         self.root = self._new_task(root_label)
         self._stack: list[Task] = [self.root]
+        #: The task being recorded (the top of the stack), which the sim
+        #: backend charges directly.
+        self.current: Task = self.root
         self._held_locks: list[str] = []  # locks held by the *current* task
 
     def _new_task(self, label: str) -> Task:
         task = Task(self._next_id, label)
         self._next_id += 1
         return task
-
-    @property
-    def current(self) -> Task:
-        return self._stack[-1]
-
-    def charge(self, units: int) -> None:
-        self.current.charge(units)
 
     def virtual_now(self) -> int:
         """The virtual clock of the task being recorded: work accumulated
@@ -167,9 +163,11 @@ class TraceRecorder:
 
     def enter_child(self, child: Task) -> None:
         self._stack.append(child)
+        self.current = child
 
     def exit_child(self) -> None:
         self._stack.pop()
+        self.current = self._stack[-1]
 
     def access(self, name: str, write: bool, span: Span = NO_SPAN) -> None:
         """Record a shared-memory access (race-detection runs only)."""

@@ -1,8 +1,9 @@
-"""Closure-compiler and program-cache tests.
+"""Fast-path compiler and program-cache tests.
 
-Covers the AST→closure compilation layer (``repro.interp.compile``):
-limits and diagnostics, race detection compiled into the closures, the
-strict annotation contract — and the :mod:`repro.api` program cache:
+Covers the compilation layer (``repro.interp.compile`` and the
+generated code it builds): limits and diagnostics, race detection
+compiled into the generated code, the strict annotation contract — and
+the :mod:`repro.api` program cache:
 hit/miss accounting, the ``cache=False`` escape hatch, and
 ``tetra run --no-cache``.  What every bundled program does on each
 backend is pinned by ``tests/test_exec_golden.py``.
@@ -275,17 +276,17 @@ class TestFastPathParity:
             run_source(spin, backend="sequential", config=config)
 
 
-def _race_hooks(invokers) -> set[tuple[str, str]]:
+def _race_hooks(invokers) -> set[tuple[str, str, str]]:
     """The race hooks reachable from ``invokers``, through closure cells,
     generated functions' bound values, tuples and lists: each as (site,
-    access).
+    subject, access).
 
-    A closure's site is the compiler method that built it and the
-    closure's own name; it carries a hook when its cells hold a note from
-    ``_race_note`` (the access is that note's kind) or when the method is
-    a ``_race_*`` builder.  A
-    generated function's sites are the note helpers its source calls,
-    each with the kind of the note bound to its first argument."""
+    A generated function's sites are the note helpers its source calls
+    (``name``, ``elem`` or ``field``), each with the variable name, the
+    array or dict display or the field name bound to its subject argument
+    and the kind of the note bound to its first.  A ``lock`` body that
+    reports to the detector is a ``_race_lock`` closure, with its lock's
+    name."""
     sources = {}
     for text, make in generate._cache.items():
         for const in make.__code__.co_consts:
@@ -296,10 +297,6 @@ def _race_hooks(invokers) -> set[tuple[str, str]]:
         cells = dict(zip(note.__code__.co_freevars,
                          (c.cell_contents for c in note.__closure__)))
         return "write" if cells["is_write"] else "read"
-
-    def is_note(value) -> bool:
-        return (isinstance(value, types.FunctionType)
-                and value.__qualname__.startswith("_Compiler._race_note"))
 
     hooks, seen, stack = set(), set(), list(invokers)
     while stack:
@@ -313,36 +310,33 @@ def _race_hooks(invokers) -> set[tuple[str, str]]:
         cells = dict(zip(item.__code__.co_freevars,
                          (c.cell_contents for c in item.__closure__ or ())))
         stack.extend(cells.values())
-        if is_note(item):
-            continue
         text = sources.get(item.__code__)
         if text is not None:
-            for helper, arg in re.findall(r"(_note_\w+)\((_a\d+),", text):
-                hooks.add((helper, kind(cells[arg])))
-            continue
-        parts = item.__qualname__.split(".<locals>.")
-        builder = parts[0].rsplit(".", 1)[-1]
-        notes = [v for v in cells.values() if is_note(v)]
-        hooks.update((f"{builder}.{parts[-1]}", kind(note))
-                     for note in notes)
-        if builder.startswith("_race") and not notes:
-            hooks.add((builder, "lock"))
+            for site, note, subject in re.findall(
+                    r"_note_(name|elem|field)\((_a\d+), _c, "
+                    r"(?:_t\d+, ){0,2}(_a\d+),", text):
+                hooks.add((site, cells[subject], kind(cells[note])))
+        elif item.__qualname__ == "_Compiler._race_lock.<locals>.run":
+            hooks.add(("lock", cells["name"], "lock"))
     return hooks
 
 
 class TestCompiledRaceDetection:
     def test_detection_runs_on_the_compiled_closures(self):
-        """Every shared-access kind compiles with its hook only under
-        detection, on the lean and the full statement prologue alike —
-        names and array elements in generated code, dict elements, fields
-        and locks in closures; the hooked code is what reports the race."""
+        """Every shared-access site is generated with its note only under
+        detection, on the lean and the full statement prologue alike: each
+        name, the array and the dict elements, and the field, read and
+        written, while the immutable string and tuple elements stay
+        quiet; ``lock`` bodies report to the detector.  The hooked code is
+        what reports the race."""
         program, source = compile_source(EVERY_ACCESS_KIND)
         hooks = {
-            ("_note_name", "read"), ("_note_name", "write"),
-            ("_note_elem", "read"), ("_note_elem", "write"),
-            ("_expr_index.run", "read"), ("_store.store_index", "write"),
-            ("_expr_attribute.run", "read"), ("_store.store_attr", "write"),
-            ("_race_lock", "lock"),
+            *((site, subject, access)
+              for site, subject in [
+                  *(("name", v) for v in ("n", "xs", "d", "b", "s", "t")),
+                  ("elem", "xs"), ("elem", "d"), ("field", "v")]
+              for access in ("read", "write")),
+            ("lock", "m", "lock"),
         }
         for backend in (SequentialBackend, CoopBackend):
             for detect in (False, True):

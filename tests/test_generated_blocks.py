@@ -186,9 +186,26 @@ def test_trap_diagnostics_agree(trap, backend):
         assert code != 0 and diagnostic is not None
 
 
+def test_op_assign_on_a_string_element_is_a_diagnostic():
+    """``s[f()] += t`` evaluates its target once, like every ``op=``
+    whose target holds a call, and fails with the string-store
+    diagnostic, not a Python error."""
+    out, code, diagnostic = assert_closures_agree(_src("""
+        def f() int:
+            print("f")
+            return 0
+
+        def main():
+            s = "abc"
+            s[f()] += "x"
+        """))
+    assert out == "f\n" and code == 1
+    assert "(strings are immutable)" in diagnostic
+
+
 def test_return_break_continue_cross_closure_statements():
-    """Completions from closure statements (``try``, ``lock``) pass
-    through generated loops."""
+    """Completions pass through generated loops from a ``try`` (written
+    as Python's own) and from a ``lock`` body (a closure's)."""
     assert_paths_agree(_src("""
         def find(xs [int], want int) int:
             i = 0
@@ -238,10 +255,30 @@ def _deep_expression(depth: int) -> str:
             f"    print(b)\n    print({'(' * depth}b{' - 1)' * depth})\n")
 
 
+def _nested_tries(depth: int) -> str:
+    """Each ``catch`` body holds the next ``try``, whose body fails."""
+    lines = ["def main():", "    n = 0"]
+    for level in range(depth):
+        pad = "    " * (level + 1)
+        lines += [f"{pad}try:", f"{pad}    n += 1",
+                  f'{pad}    error("level {level}")', f"{pad}catch e{level}:"]
+    lines.append("    " * (depth + 1) + "print(n, e0)")
+    return "\n".join(lines) + "\n"
+
+
+def _deep_calls(depth: int) -> str:
+    """Builtin calls, tuple literals and tuple elements, nested."""
+    return ("def main():\n    a = 1\n"
+            f"    print({'abs((' * depth}a - 2{', a)[0])' * depth})\n")
+
+
 @pytest.mark.parametrize("text, output", [
     (_nested_loops(24), "1\n"),
     (_deep_expression(400), "401\n1\n"),
-], ids=["24 nested loops", "400-deep expression"])
+    (_nested_tries(24), "24level 0\n"),
+    (_deep_calls(400), "1\n"),
+], ids=["24 nested loops", "400-deep expression", "24 nested tries",
+        "400-deep calls"])
 def test_code_past_cpythons_nesting_limits_still_generates(text, output):
     """A body nested, or an expression deeper, than CPython compiles in one
     source becomes a generated function of its own: every source
@@ -284,6 +321,12 @@ def test_renamed_and_reconstanted_listings_share_code():
 
 
 HOSTILE = r'''
+class import:
+    exec int
+
+    def system(eval int) int:
+        return self.exec + eval
+
 def ctx(v int, _c int) int:
     _fv = v + _c
     while _fv > 100:
@@ -298,10 +341,24 @@ def main():
     for KeyError in [1 ... 3]:
         os += ctx(KeyError, 40)
     print(v, _a0, _t1, os)
+    box = import(os)
+    box.exec += 1
+    d = {"__import__": box.system(1), "); exec": 2}
+    pair = ("eval", d["__import__"])
+    try:
+        print(d["os.system"])
+    catch _e:
+        print(pair, d)
 '''
 
 #: The same program with every name and string replaced.
 TAME = r'''
+class P:
+    f int
+
+    def m(q int) int:
+        return self.f + q
+
 def f(p int, q int) int:
     r = p + q
     while r > 100:
@@ -316,7 +373,19 @@ def main():
     for i in [1 ... 3]:
         w += f(i, 40)
     print(s, t, u, w)
+    o = P(w)
+    o.f += 1
+    e = {"a": o.m(1), "b": 2}
+    g = ("c", e["a"])
+    try:
+        print(e["d"])
+    catch h:
+        print(g, e)
 '''
+
+#: Names of the hostile program's variables, functions, fields, methods
+#: and classes that must not reach a source.
+HOSTILE_NAMES = ("v", "ctx", "os", "import", "exec", "system", "eval", "box")
 
 
 def _generated_sources(text: str, **knobs) -> set[str]:
@@ -329,7 +398,8 @@ def _generated_sources(text: str, **knobs) -> set[str]:
                          ids=["lean", "full", "budget"])
 def test_no_program_text_reaches_a_generated_source(knobs):
     output, sources = _generated_sources(HOSTILE, **knobs)
-    assert output == '"""); import os\n126\n'
+    assert output == ('"""); import os\n126\n'
+                      '(eval, 128){); exec: 2, __import__: 128}\n')
     assert sources
     _, tame = _generated_sources(TAME, **knobs)
     assert sources == tame
@@ -337,5 +407,6 @@ def test_no_program_text_reaches_a_generated_source(knobs):
         for tok in tokenize.generate_tokens(io.StringIO(text).readline):
             assert tok.type != tokenize.STRING, text
             if tok.type == tokenize.NAME:
-                assert tok.string not in ("v", "ctx", "os", "import"), text
-        assert "import os" not in text and '"""' not in text
+                assert tok.string not in HOSTILE_NAMES, text
+        for fragment in ("import os", '"""', "__import__", "); exec"):
+            assert fragment not in text, text

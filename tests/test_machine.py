@@ -151,23 +151,23 @@ class TestInvariants:
 class TestTaskGraph:
     def test_charge_merges_consecutive_work(self):
         rec = TraceRecorder()
-        rec.charge(5)
-        rec.charge(7)
+        rec.current.charge(5)
+        rec.current.charge(7)
         assert rec.root.items == [Work(12)]
 
     def test_charge_zero_ignored(self):
         rec = TraceRecorder()
-        rec.charge(0)
+        rec.current.charge(0)
         assert rec.root.items == []
 
     def test_fork_recording(self):
         rec = TraceRecorder()
         children = rec.begin_fork(["a", "b"], join=True)
         rec.enter_child(children[0])
-        rec.charge(3)
+        rec.current.charge(3)
         rec.exit_child()
         rec.enter_child(children[1])
-        rec.charge(4)
+        rec.current.charge(4)
         rec.exit_child()
         assert rec.root.task_count() == 3
         assert rec.root.subtree_work() == 7
@@ -179,12 +179,12 @@ class TestTaskGraph:
 
     def test_critical_path_of_nested_forks(self):
         rec = TraceRecorder()
-        rec.charge(10)
+        rec.current.charge(10)
         (child,) = rec.begin_fork(["c"], join=True)
         rec.enter_child(child)
-        rec.charge(20)
+        rec.current.charge(20)
         rec.exit_child()
-        rec.charge(5)
+        rec.current.charge(5)
         assert rec.root.critical_path() == 35
 
     def test_max_parallelism(self):

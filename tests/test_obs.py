@@ -256,7 +256,7 @@ class TestBackendClock:
     def test_sim_now_advances_by_charged_units(self):
         backend = SimBackend()
         t0 = backend.now()
-        backend.recorder.charge(50)
+        backend.recorder.current.charge(50)
         assert backend.now() - t0 == 50.0
 
     @pytest.mark.parametrize("detect_races", [True, False])

@@ -1,10 +1,14 @@
 """Unit tests for the recursive-descent parser: shapes and diagnostics."""
 
+import os
+import pathlib
+import subprocess
+import sys
 import textwrap
 
 import pytest
 
-from repro.errors import TetraSyntaxError
+from repro.errors import TetraSyntaxError, exit_code_for
 from repro.parser import parse_expression, parse_source
 from repro.tetra_ast import (
     ArrayLiteral,
@@ -395,3 +399,32 @@ class TestSpans:
         e = parse_expression("abc + defg")
         assert e.span.start == 0
         assert e.span.end == len("abc + defg")
+
+
+class TestNestingDepth:
+    def test_nesting_past_the_recursion_limit_is_a_syntax_error(self,
+                                                                tmp_path):
+        """An expression nested deeper than Python's recursion limit lets
+        the descent go is a syntax error at the token being read, with its
+        caret and the compile-error exit code.  The run is a fresh process,
+        at the default limit: ``Interpreter.run`` raises the limit for the
+        whole process, so in-process results would depend on test order."""
+        depth = 100
+        path = tmp_path / "deep.ttr"
+        path.write_text("def main():\n    a = 1\n"
+                        f"    b = {'(' * depth}a{' + 1)' * depth}\n"
+                        "    print(b)\n")
+        src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(
+                   filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.tools.cli", "run", str(path)],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert "Traceback" not in result.stderr, result.stderr[-500:]
+        lines = result.stderr.splitlines()
+        assert lines[0].startswith(f"{path}:3:")
+        assert "syntax error: the program nests too deeply" in lines[0]
+        column = int(lines[0].split(":")[2])
+        assert lines[2].index("^") == lines[1].index("|") + column + 1
+        assert result.returncode == exit_code_for(TetraSyntaxError("x"))
