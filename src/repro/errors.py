@@ -106,7 +106,8 @@ class TetraAssertionError(TetraRuntimeError):
 
 
 class TetraDeadlockError(TetraRuntimeError):
-    """A detected deadlock: self re-entry of a non-reentrant named lock, or a
+    """A detected deadlock: self re-entry of a non-reentrant named lock, a
+    request for a lock that a thread waiting to join the asker holds, or a
     cycle in the lock wait-for graph.
 
     The message names the threads and locks involved — the whole point of

@@ -34,14 +34,15 @@ that is knowable at compile time bound in:
   access site — a name load or store, an array/dict element load or store,
   a field load or store — carries a note that feeds the
   :class:`~repro.analysis.races.RaceDetector` (and the simulator's trace)
-  after the access's charge and type check and before the access itself,
-  and ``lock`` bodies report acquire/release inside the held lock.  With
-  detection off no code carries a note or a test for one.
+  after the access's charge and type check and before the access itself.
+  With detection off no code carries a note or a test for one.
 
 This module keeps the invokers (the calling convention) and the closures
-for ``lock``, ``parallel``, ``background`` and ``parallel for``, which
-hand a generated body to the backend; every other statement and every
-expression is generated code.
+for ``parallel``, ``background`` and ``parallel for``, which hand a
+generated body to the backend; every other statement and every
+expression is generated code, ``lock`` included: its body runs between
+the interpreter's enter and exit, which own every lock rule
+(:meth:`~repro.interp.interpreter.Interpreter._lock_enter`).
 
 Spans ride along in all code that can raise, so diagnostics render the
 same caret on every backend; per-statement checkpoints and span stores
@@ -185,6 +186,8 @@ class _Compiler:
         #: detection, built once.
         self.race_notes = ((self._race_note(False), self._race_note(True))
                            if self.race is not None else None)
+        self.lock_enter = interp._lock_enter
+        self.lock_exit = interp._lock_exit
         #: True when statements run bare, without the per-statement
         #: prologue: no cost accounting, checkpoints or profile hits, and a
         #: guard the stop flag can carry.
@@ -332,12 +335,12 @@ class _Compiler:
         return generate_value(self, e)
 
     def backend_stmt(self, s: Stmt) -> StmtRun:
-        """The closure for ``lock`` or a parallel construct, which hands
-        its generated body to the backend, without its prologue (the
-        generated code around it has that)."""
+        """The closure for a parallel construct, which hands its generated
+        body to the backend, without its prologue (the generated code
+        around it has that)."""
         return _STMT_BUILDERS[type(s)](self, s)
 
-    # -- parallel constructs and lock --------------------------------------
+    # -- parallel constructs ----------------------------------------------
     # A spawned thread's statements cannot return, break or continue out
     # of it (the checker forbids it), so their completions are dropped.
     def _spawn_block(self, s, join: bool, kind: str) -> StmtRun:
@@ -354,7 +357,7 @@ class _Compiler:
             env = ctx.env
             for i, (child_run, line) in enumerate(children):
                 label = unique_label(f"{kind} thread {i + 1} (line {line})")
-                child_ctx = ctx.spawn_child(label, env)
+                child_ctx = ctx.spawn_child(label, env, join)
 
                 def thunk(run_child=child_run, c=child_ctx):
                     run_child(c)
@@ -387,16 +390,22 @@ class _Compiler:
         sched_rec = interp.config.schedule_recorder
         native = getattr(interp, "_native", None)
         steps = self.steps
+        # The offloads fold the body's locks into reductions, so a loop
+        # whose workers would be refused a lock their joiner holds runs
+        # in-process, where the refusal is reported.
+        locks = {n.name for n in walk_statements(s.body)
+                 if isinstance(n, LockStmt)}
 
         def run(ctx):
             items = interp._iterate(iterable_fn(ctx), span)
             if not items:
                 return
-            if native is not None and native.try_parallel_for(interp, s,
-                                                              items, ctx):
+            offload = not any(ctx.joined_holder(name) for name in locks)
+            if offload and native is not None and native.try_parallel_for(
+                    interp, s, items, ctx):
                 return
-            if try_offload is not None and try_offload(interp, s, items,
-                                                       ctx):
+            if offload and try_offload is not None and try_offload(
+                    interp, s, items, ctx):
                 return
             workers = backend.parallel_for_workers(len(items))
             if sched_rec is not None:
@@ -430,26 +439,6 @@ class _Compiler:
 
         return run
 
-    def _stmt_lock(self, s: LockStmt) -> StmtRun:
-        body = self.block(s.body)
-        lock = self.backend.lock
-        name = s.name
-        span = s.span
-        if self.race is not None:
-            return self._race_lock(name, body, span)
-
-        def run(ctx):
-            completion = None
-
-            def held():
-                nonlocal completion
-                completion = body(ctx)
-
-            lock(ctx, name, held, span)
-            return completion
-
-        return run
-
     # ------------------------------------------------------------------
     # Race detection (compiled only when detect_races is on)
     # ------------------------------------------------------------------
@@ -471,33 +460,9 @@ class _Compiler:
 
         return note
 
-    def _race_lock(self, name: str, body: StmtRun, span) -> StmtRun:
-        lock = self.backend.lock
-        acquire = self.race.acquire
-        release = self.race.release
-
-        def run(ctx):
-            completion = None
-
-            def held():
-                nonlocal completion
-                # The detector's lockset tracks the dynamic extent of the
-                # body, which the backend runs strictly inside the lock.
-                acquire(ctx.id, name)
-                try:
-                    completion = body(ctx)
-                finally:
-                    release(ctx.id, name)
-
-            lock(ctx, name, held, span)
-            return completion
-
-        return run
-
 
 _STMT_BUILDERS = {
     ParallelFor: _Compiler._stmt_parallel_for,
     ParallelBlock: _Compiler._stmt_parallel_block,
     BackgroundBlock: _Compiler._stmt_background_block,
-    LockStmt: _Compiler._stmt_lock,
 }

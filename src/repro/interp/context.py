@@ -2,9 +2,10 @@
 
 Each Tetra thread — the main thread, every ``parallel`` child, every
 ``parallel for`` worker — owns one :class:`ThreadContext`: its identity (the
-key in lock wait-for graphs), its current environment, and its Tetra-level
+key in lock wait-for graphs), its current environment, its Tetra-level
 call stack, one :class:`~repro.runtime.env.Frame` per active call (what the
-debugger shows as a backtrace).
+debugger shows as a backtrace), and the two facts the lock rule reads: the
+locks it holds and the thread that waits to join it.
 
 Context ids are process-global and monotonically increasing, so the
 deterministic coop scheduler's "pick the lowest ready id" tie-break follows
@@ -23,26 +24,42 @@ _ids = itertools.count(1)
 class ThreadContext:
     """Everything the interpreter knows about one Tetra thread."""
 
-    __slots__ = ("id", "label", "env", "call_stack", "os_thread_ident")
+    __slots__ = ("id", "label", "env", "call_stack", "held", "joiner")
 
     def __init__(self, label: str, env: Environment | None = None,
-                 call_stack: list[Frame] | None = None):
+                 call_stack: list[Frame] | None = None,
+                 joiner: "ThreadContext | None" = None):
         self.id = next(_ids)
         self.label = label
         self.env = env
         self.call_stack: list[Frame] = call_stack if call_stack is not None else []
-        self.os_thread_ident: int | None = None
+        #: Names of the locks this thread holds, innermost last.
+        self.held: list[str] = []
+        #: The spawner of a ``parallel:`` child or a ``parallel for``
+        #: worker; None for ``main`` and ``background:`` threads.
+        self.joiner = joiner
 
-    def spawn_child(self, label: str, env: Environment) -> "ThreadContext":
-        """Context for a thread spawned by a parallel construct.
+    def spawn_child(self, label: str, env: Environment,
+                    join: bool = True) -> "ThreadContext":
+        """Context for a thread spawned by a parallel construct (``join``
+        is False for a ``background:`` one).
 
         The child starts with a *copy* of the spawner's call stack — its
         backtrace reads "inside sum(), thread 2 of the parallel block" — but
         the copy is private so the threads' subsequent calls do not fight
         over one list.
         """
-        child = ThreadContext(label, env, list(self.call_stack))
-        return child
+        return ThreadContext(label, env, list(self.call_stack),
+                             self if join else None)
+
+    def joined_holder(self, name: str) -> "ThreadContext | None":
+        """This thread, or one that waits to join it (directly or through
+        further joins), if it holds lock ``name``: a holder that would
+        wait for this thread forever."""
+        thread = self
+        while thread is not None and name not in thread.held:
+            thread = thread.joiner
+        return thread
 
     @property
     def depth(self) -> int:

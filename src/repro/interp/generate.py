@@ -8,8 +8,8 @@ function; :func:`generate_value` does the same for a lone expression (a
 iteration then costs the bytecode of its statements, not one closure
 call per AST node.
 
-The generated vocabulary is the whole language but for ``lock`` and the
-parallel constructs, which hand a generated body to the backend (see
+The generated vocabulary is the whole language but for the parallel
+constructs, which hand a generated body to the backend (see
 :mod:`repro.interp.compile`):
 
 * variable reads and writes: locals through ``frame.vars``, ``parallel
@@ -34,7 +34,12 @@ parallel constructs, which hand a generated body to the backend (see
 * ``if``/``elif``/``else``, ``while`` and ``for``, with ``break``,
   ``continue`` and ``return`` as Python's own inside a generated loop and
   as completion values (:mod:`repro.interp.control`) at the block's top;
-  ``try`` as Python's own ``try``/``except``;
+  ``try`` as Python's own ``try``/``except``; a ``for`` over a range
+  literal that nothing can observe (no cost accounting, no memory limit)
+  walks Python's ``range`` and builds no array;
+* ``lock`` as the interpreter's enter and, in a ``finally``, its exit
+  around the body, whose ``return``, ``break`` and ``continue`` are
+  Python's own;
 * the stop poll at every loop back-edge; under a step budget it counts
   the step and compares the count with ``Interpreter._budget`` instead,
   and without one the source is the same as if budgets did not exist;
@@ -99,6 +104,7 @@ from ..tetra_ast import (
     If,
     Index,
     IntLiteral,
+    LockStmt,
     MethodCall,
     Name,
     Pass,
@@ -223,7 +229,6 @@ _GLOBALS = {
     "_len": len,
     "_next": next,
     "_float": float,
-    "_list": list,
     "_range": range,
     "_isinstance": isinstance,
     "_Array": TetraArray,
@@ -792,8 +797,18 @@ class _Writer:
 
     def for_(self, s: For) -> None:
         item = self.temp()
-        self.emit(f"for {item} in _i._iterate({self.expr(s.iterable)}, "
-                  f"{self.bound(s.span)}):")
+        iterable = s.iterable
+        if type(iterable) is not RangeLiteral:
+            items = (f"_i._iterate({self.expr(iterable)}, "
+                     f"{self.bound(s.span)})")
+        elif self.acc or self.comp._heap is not None:
+            # The array's charges and cells are observable; nothing else
+            # holds it, so the loop needs no copy of its items.
+            items = f"{self.expr(iterable)}.items"
+        else:
+            items = (f"_range({self.expr(iterable.start)}, "
+                     f"{self.expr(iterable.stop)} + 1)")
+        self.emit(f"for {item} in {items}:")
         if self.acc:
             self.emit(f"    {self.charge_call(self.comp.cost.loop_iteration)}")
         self.poll(s.span)
@@ -802,6 +817,19 @@ class _Writer:
         else:
             self.emit(f"    _fv[{self.name(s.var)}] = {item}")
         self.loop_body(s.body)
+
+    def lock(self, s: LockStmt) -> None:
+        """The interpreter's enter, then the body inside ``try`` with its
+        exit in ``finally``."""
+        comp = self.comp
+        name = self.const(s.name)
+        stamp = self.temp()
+        self.emit(f"{stamp} = {self.bound(comp.lock_enter)}(_c, {name}, "
+                  f"{self.bound(s.span)})")
+        self.emit("try:")
+        self.nested(s.body)
+        self.emit("finally:")
+        self.emit(f"    {self.bound(comp.lock_exit)}(_c, {name}, {stamp})")
 
     def try_(self, s: TryStmt) -> None:
         """Python's own ``try``: the catch binds the message of a
@@ -1063,8 +1091,7 @@ class _Writer:
             lambda items: f"_Dict({items}, {types})"), e.span)
 
     def range_literal(self, e: RangeLiteral) -> str:
-        items = (f"_list(_range({self.expr(e.start)}, "
-                 f"{self.expr(e.stop)} + 1))")
+        items = f"_range({self.expr(e.start)}, {self.expr(e.stop)} + 1)"
         return self.alloc(self.sized(
             items, lambda held: f"_Array({held}, {self.bound(INT)})"),
             e.span)
@@ -1089,6 +1116,7 @@ _STMT_WRITERS = {
     While: _Writer.while_,
     For: _Writer.for_,
     TryStmt: _Writer.try_,
+    LockStmt: _Writer.lock,
 }
 
 _EXPR_WRITERS = {

@@ -10,6 +10,11 @@ join, ``parallel for`` workers get "a copy of the induction variable
 inserted into their private symbol table", and lock statements map onto
 mutexes.
 
+Every lock statement enters and exits through :meth:`Interpreter._lock_enter`
+and :meth:`Interpreter._lock_exit`, which own every lock rule: the
+refusal of a lock that would wait forever, the race detector's lockset and
+the observer's lock span.  A backend only acquires and releases.
+
 The one generalization over the paper is the pluggable
 :class:`~repro.runtime.backend.Backend`: the same interpreter runs on real
 threads, under the deterministic cooperative scheduler, or inside the
@@ -26,6 +31,7 @@ import itertools
 import threading
 
 from ..errors import (
+    TetraDeadlockError,
     TetraError,
     TetraInternalError,
     TetraLimitError,
@@ -179,7 +185,9 @@ class Interpreter:
         disarm = None
         if self._guard is not None:
             self._guard.start()
-            if self.compiled.lean:
+            if not self._guard.virtual:
+                # A host clock or a token trips the stop flag, and wakes
+                # the threads parked on a lock, which poll no flag.
                 disarm = self._guard.watch(self._trip)
         self.backend.start_program(ctx)
         if self._obs is not None:
@@ -214,10 +222,11 @@ class Interpreter:
         iteration or call."""
         self._stopped = True
         self._budget = 0
+        self.backend.stop_waiting(self._stop_error)
         token = self.config.cancel
         if token is not None:
-            # Route through the CancelToken too, so threads parked on locks
-            # (which never reach the _stopped check) unwind as well.
+            # Route through the CancelToken too, so a proc offload waiting
+            # on its worker processes gives up as well.
             token.cancel("the program was stopped")
 
     def _trip(self) -> None:
@@ -226,6 +235,7 @@ class Interpreter:
             self._tripped = True
             self._stopped = True
             self._budget = 0
+            self.backend.stop_waiting(self._stop_error)
 
     def _stop_error(self, span: Span) -> TetraError:
         """What a thread raises when its poll at ``span`` finds the stop
@@ -262,6 +272,49 @@ class Interpreter:
             TetraRuntimeError,
             "for loops need an array, a string, or a dict", span
         )
+
+    def _lock_enter(self, ctx: ThreadContext, name: str, span: Span):
+        """Enter ``lock name:``; returns what :meth:`_lock_exit` takes.
+
+        A lock that ``ctx`` holds, or that a thread waiting to join it
+        holds, would wait forever, so it is refused here, with one
+        diagnostic on every backend, before the backend is asked.  The
+        race detector's lockset and the observer's lock span follow the
+        backend's acquire."""
+        holder = ctx.joined_holder(name)
+        if holder is ctx:
+            raise self._err(TetraDeadlockError, (
+                f"{ctx.label} re-entered 'lock {name}:' while already inside "
+                "it — Tetra locks are not re-entrant, so this would wait "
+                "forever"), span)
+        if holder is not None:
+            raise self._err(TetraDeadlockError, (
+                f"{ctx.label} asked for 'lock {name}:', which {holder.label} "
+                f"holds while it waits to join {ctx.label}, so this would "
+                "wait forever"), span)
+        obs = self._obs
+        stamp = None
+        if obs is None:
+            self.backend.acquire(ctx, name, span)
+        else:
+            requested = obs.clock()
+            contended = self.backend.acquire(ctx, name, span)
+            stamp = (requested, obs.clock(), contended)
+        ctx.held.append(name)
+        if self._race is not None:
+            self._race.acquire(ctx.id, name)
+        return stamp
+
+    def _lock_exit(self, ctx: ThreadContext, name: str, stamp) -> None:
+        """Leave ``lock name:``, entered with ``stamp``."""
+        if self._race is not None:
+            self._race.release(ctx.id, name)
+        ctx.held.pop()
+        self.backend.release(ctx, name)
+        if stamp is not None:
+            requested, acquired, contended = stamp
+            self._obs.lock_span(ctx.id, name, requested, acquired,
+                                self._obs.clock(), contended)
 
     def _unique_label(self, base: str) -> str:
         """Issue a run-unique thread label: the first use of a base keeps

@@ -1,8 +1,12 @@
 """Execution backends: how Tetra's parallel constructs actually run.
 
 The interpreter is backend-agnostic; a :class:`Backend` decides what
-``parallel`` / ``background`` / ``parallel for`` / ``lock`` mean
-operationally.  Three implementations ship (DESIGN.md §2):
+``parallel`` / ``background`` / ``parallel for`` mean operationally, and
+how a lock is acquired and released.  Every lock *rule* — re-entry, a
+lock its joining thread holds, the race detector's lockset, the
+observer's lock span — is the interpreter's
+(:meth:`~repro.interp.interpreter.Interpreter._lock_enter`).  Three
+implementations ship (DESIGN.md §2):
 
 * :class:`ThreadBackend` (here) — one real OS thread per parallel statement,
   the paper's own execution model.
@@ -84,9 +88,6 @@ class RuntimeConfig:
     #: guided decreasing chunk sizes — a work queue on the proc backend, a
     #: deterministic dealt-guided partition in-process.
     chunking: str = "block"
-    #: Wait for ``background`` threads when the program finishes, so program
-    #: output is deterministic.  Set False to truly detach them.
-    wait_for_background: bool = True
     #: Abort after this many steps (0 = unlimited).  A step is a loop
     #: iteration, a ``parallel for`` item or a call of a Tetra function,
     #: counted where the stop flag is polled, the same on every backend.
@@ -276,9 +277,20 @@ class Backend:
     def parallel_for_workers(self, n_items: int) -> int:
         raise NotImplementedError
 
-    def lock(self, ctx, name: str, body: Callable[[], None],
-             span: Span = NO_SPAN) -> None:
+    # -- locks ---------------------------------------------------------
+    def acquire(self, ctx, name: str, span: Span = NO_SPAN) -> bool:
+        """Take lock ``name`` for ``ctx``, waiting while another thread
+        holds it; True when it was held at the request.  The interpreter
+        has already refused a lock ``ctx`` or a thread joining it holds."""
         raise NotImplementedError
+
+    def release(self, ctx, name: str) -> None:
+        """Give up lock ``name``, which ``ctx`` holds."""
+        raise NotImplementedError
+
+    def stop_waiting(self, error_for) -> None:
+        """The run was stopped: a thread waiting in :meth:`acquire` raises
+        ``error_for(span)`` with its ``lock`` statement's span."""
 
     # -- lifecycle ----------------------------------------------------------
     def start_program(self, root_ctx) -> None:
@@ -383,56 +395,36 @@ class ThreadBackend(Backend):
             workers = max(2, workers)
         return max(1, min(workers, n_items))
 
-    def lock(self, ctx, name: str, body: Callable[[], None],
-             span: Span = NO_SPAN) -> None:
-        plan = self.config.fault_plan
+    def acquire(self, ctx, name: str, span: Span = NO_SPAN) -> bool:
         ts = self._turnstile
-        if plan is not None and ts is None:
-            # Chaos: widen the race window in front of the critical
-            # section.  While recording, the turnstile's own token-free
-            # jitter plays this role (a sleep here would hold the token).
-            plan.lock_delay(ctx, name)
-        on_block = None
-        blocked: list = []
-        if ts is not None:
-            def on_block() -> None:
-                # Fires only when the acquire actually waits — an
-                # uncontended acquire costs no turn, on any backend.
-                blocked.append(True)
-                ts.pause(ctx)
-        obs = self.obs
-        if obs is None:
-            self.locks.acquire(name, ctx.id, span, on_block=on_block)
-            if blocked:
-                ts.resume(ctx)
-            try:
-                body()
-            finally:
-                self.locks.release(name, ctx.id)
-            return
-        contended = self.locks.holder_of(name) is not None
-        t_req = obs.clock()
-        self.locks.acquire(name, ctx.id, span, on_block=on_block)
-        if blocked:
+        if ts is None:
+            plan = self.config.fault_plan
+            if plan is not None:
+                # Chaos: widen the race window in front of the critical
+                # section.  While recording, the turnstile's own token-free
+                # jitter plays this role (a sleep here would hold the token).
+                plan.lock_delay(ctx, name)
+            return self.locks.acquire(name, ctx.id, span)
+        # The token is handed off only when the acquire waits — an
+        # uncontended acquire costs no turn, on any backend.
+        contended = self.locks.acquire(name, ctx.id, span,
+                                       on_block=lambda: ts.pause(ctx))
+        if contended:
             ts.resume(ctx)
-        t_acq = obs.clock()
-        try:
-            body()
-        finally:
-            self.locks.release(name, ctx.id)
-            obs.lock_span(ctx.id, name, t_req, t_acq, obs.clock(), contended)
+        return contended
+
+    def release(self, ctx, name: str) -> None:
+        self.locks.release(name, ctx.id)
+
+    def stop_waiting(self, error_for) -> None:
+        self.locks.stop(error_for)
 
     def start_program(self, root_ctx) -> None:
         self.locks.register_thread(root_ctx.id, root_ctx.label)
-        # Blocked acquires poll the token so cancellation reaches threads
-        # that are waiting on a lock, not just ones executing statements.
-        self.locks.cancel = self.config.cancel
 
     def finish_program(self, root_ctx) -> None:
         ts = self._turnstile
         try:
-            if not self.config.wait_for_background:
-                return
             if ts is not None:
                 # Background threads still need the token to run; the
                 # root's trailing join must not starve them.
@@ -468,7 +460,6 @@ class SequentialBackend(Backend):
 
     def __init__(self, config: RuntimeConfig | None = None):
         super().__init__(config)
-        self._held: list[tuple[object, str]] = []
         self._recorder = self.config.schedule_recorder
 
     def checkpoint(self, ctx, node) -> None:
@@ -508,22 +499,12 @@ class SequentialBackend(Backend):
             workers = 2  # surface logical concurrency to the detector
         return max(1, min(workers, n_items))
 
-    def lock(self, ctx, name: str, body: Callable[[], None],
-             span: Span = NO_SPAN) -> None:
-        if (ctx.id, name) in self._held:
-            raise TetraDeadlockError(
-                f"{ctx.label} re-entered 'lock {name}:' it already holds", span
-            )
+    def acquire(self, ctx, name: str, span: Span = NO_SPAN) -> bool:
+        # Threads run one at a time, each to its end, so nothing waits.
         rec = self._recorder
         if rec is not None:
             rec.grant(name, ctx.label)
-        obs = self.obs
-        t_acq = obs.clock() if obs is not None else 0.0
-        self._held.append((ctx.id, name))
-        try:
-            body()
-        finally:
-            self._held.remove((ctx.id, name))
-            if obs is not None:
-                # Sequential execution never waits: request == acquire.
-                obs.lock_span(ctx.id, name, t_acq, t_acq, obs.clock(), False)
+        return False
+
+    def release(self, ctx, name: str) -> None:
+        pass

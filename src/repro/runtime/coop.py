@@ -32,7 +32,7 @@ import random
 import threading
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from ..errors import (
     TetraDeadlockError,
@@ -502,10 +502,6 @@ class CoopScheduler:
             self._yield_turn(record)
             self._wait_for_turn(record)
 
-    def thread_started(self, ctx) -> None:
-        """Spawned threads run straight to their first checkpoint and park
-        there; nothing to do (kept for backend symmetry)."""
-
     def thread_finished(self, ctx, error: BaseException | None) -> None:
         with self.cv:
             record = self.threads[ctx.id]
@@ -541,16 +537,12 @@ class CoopScheduler:
             self._wait_for_turn(record)
             self.turn_holder = record.id  # hold it while finishing the join
 
-    def acquire_lock(self, ctx, name: str, span: Span) -> None:
+    def acquire_lock(self, ctx, name: str) -> bool:
+        """Take ``name`` for ``ctx``, parking while it is held (or reserved
+        for a recorded grantee); True when it was held at the request."""
         with self.cv:
             record = self.threads[ctx.id]
             owner = self.lock_owner.get(name)
-            if owner == ctx.id:
-                raise TetraDeadlockError(
-                    f"{record.label} tried to enter 'lock {name}:' while "
-                    "already inside it — Tetra locks are not re-entrant",
-                    span,
-                )
             gate = self.grant_gate
             if owner is None and (gate is None or gate.may_take(
                     name, record.label, self.finished_labels)):
@@ -560,7 +552,7 @@ class CoopScheduler:
                 rec = self.turn_recorder
                 if rec is not None:
                     rec.grant(name, record.label)
-                return
+                return False
             # Either the lock is held, or the gate reserves it for the
             # recorded next grantee — park even though it is free.
             self.lock_waiters.setdefault(name, deque()).append(ctx.id)
@@ -572,6 +564,7 @@ class CoopScheduler:
             self._wait_for_turn(record)
             record.waiting_lock = None
             self.turn_holder = record.id
+            return owner is not None
 
     def release_lock(self, ctx, name: str) -> None:
         with self.cv:
@@ -716,7 +709,6 @@ class CoopBackend(Backend):
         def runner(child_ctx, thunk) -> None:
             error: BaseException | None = None
             try:
-                sched.thread_started(child_ctx)
                 thunk()
             except BaseException as exc:  # noqa: BLE001 - stored and re-raised
                 error = exc
@@ -751,25 +743,11 @@ class CoopBackend(Backend):
         workers = self.config.num_workers or 4
         return max(1, min(workers, n_items))
 
-    def lock(self, ctx, name: str, body: Callable[[], None],
-             span: Span = NO_SPAN) -> None:
-        obs = self.obs
-        if obs is None:
-            self.scheduler.acquire_lock(ctx, name, span)
-            try:
-                body()
-            finally:
-                self.scheduler.release_lock(ctx, name)
-            return
-        contended = name in self.scheduler.lock_owner
-        t_req = self.now()
-        self.scheduler.acquire_lock(ctx, name, span)
-        t_acq = self.now()
-        try:
-            body()
-        finally:
-            self.scheduler.release_lock(ctx, name)
-            obs.lock_span(ctx.id, name, t_req, t_acq, self.now(), contended)
+    def acquire(self, ctx, name: str, span: Span = NO_SPAN) -> bool:
+        return self.scheduler.acquire_lock(ctx, name)
+
+    def release(self, ctx, name: str) -> None:
+        self.scheduler.release_lock(ctx, name)
 
     def start_program(self, root_ctx) -> None:
         self.contexts[root_ctx.id] = root_ctx
@@ -778,7 +756,7 @@ class CoopBackend(Backend):
     def finish_program(self, root_ctx) -> None:
         # The root must keep scheduling others while it waits, so park it as
         # join-blocked on any background threads that are still live.
-        if self._background and self.config.wait_for_background:
+        if self._background:
             root_record = self.scheduler.threads[root_ctx.id]
             for record in self._background_ctxs:
                 record.parent = root_record

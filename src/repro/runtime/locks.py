@@ -7,11 +7,12 @@ common mistakes with a silent hang:
 * re-entering a lock the same thread already holds (nested ``lock a:``), and
 * acquiring two locks in opposite orders from two threads.
 
-Both are exactly the phenomena Tetra exists to teach, so this table turns
-them into a :class:`~repro.errors.TetraDeadlockError` that names the threads
-and locks in the cycle.  Detection uses the classic wait-for graph: thread →
-lock it waits on → owner thread → ...; a cycle back to the start is a
-deadlock.
+Both are exactly the phenomena Tetra exists to teach.  The interpreter
+refuses the first (and a lock that a thread joining the asker holds) on
+every backend; this table, the thread backend's, turns the second into a
+:class:`~repro.errors.TetraDeadlockError` that names the threads and locks
+in the cycle.  Detection uses the classic wait-for graph: thread → lock it
+waits on → owner thread → ...; a cycle back to the start is a deadlock.
 
 Detection is event-driven: the thread whose blocking *completes* a cycle
 always sees the full cycle in the wait-for graph at the moment it blocks
@@ -19,7 +20,8 @@ always sees the full cycle in the wait-for graph at the moment it blocks
 block time plus one on each ownership-change wakeup finds every deadlock.
 Blocked threads sleep on a condition variable between wakeups instead of
 burning CPU on a 20 ms poll; a slow fallback poll remains purely as a
-safety net against lost wakeups.
+safety net against lost wakeups.  Joins are not in the graph; a stopped
+run wakes its parked threads through :meth:`LockTable.stop`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 
-from ..errors import TetraCancelledError, TetraDeadlockError
+from ..errors import TetraDeadlockError
 from ..source import NO_SPAN, Span
 
 #: Identifies a Tetra thread in the wait-for graph.  Thread backends use the
@@ -58,7 +60,6 @@ class LockTable:
         #: Signalled on every ownership change (release); the monitor above
         #: is its underlying lock, so waiters re-check under the monitor.
         self._changed = threading.Condition(self._monitor)
-        self._names: set[str] = set()
         self._owners: dict[str, ThreadKey] = {}
         self._owner_labels: dict[ThreadKey, str] = {}
         self._waiting: dict[ThreadKey, str] = {}
@@ -69,9 +70,9 @@ class LockTable:
         #: Instance copy of the safety-net poll, taken at construction so a
         #: single table (or test) can tune it without touching the class.
         self.fallback_poll: float = self.FALLBACK_POLL
-        #: Optional CancelToken; blocked acquires observe it so Ctrl-C
-        #: reaches threads that are parked on a lock.
-        self.cancel = None
+        #: Set by :meth:`stop`: ``stopped(span)`` is the error a parked
+        #: acquire raises.
+        self.stopped = None
         #: Optional ``grant_hook(name, key)`` called (monitor held) at the
         #: exact moment a lock changes owner — the schedule recorder's
         #: source of per-lock grant order, barging included.
@@ -93,7 +94,7 @@ class LockTable:
 
     def known_locks(self) -> list[str]:
         with self._monitor:
-            return sorted(self._names)
+            return sorted(self.stats)
 
     def holder_of(self, name: str) -> ThreadKey | None:
         with self._monitor:
@@ -101,69 +102,49 @@ class LockTable:
 
     # ------------------------------------------------------------------
     def acquire(self, name: str, key: ThreadKey, span: Span = NO_SPAN,
-                on_block=None) -> None:
-        """Acquire ``name`` for ``key``; ``on_block()`` fires once (monitor
-        held) if — and only if — the acquire actually has to wait, so a
-        caller can hand off a scheduling token before parking."""
+                on_block=None) -> bool:
+        """Acquire ``name`` for ``key``; True when another thread held it
+        at the request.  ``on_block()`` fires once (monitor held) if — and
+        only if — the acquire actually has to wait, so a caller can hand
+        off a scheduling token before parking."""
         with self._changed:
-            self._names.add(name)
-            stats = self.stats.setdefault(name, LockStats())
-            owner = self._owners.get(name)
-            if owner == key:
-                raise TetraDeadlockError(
-                    f"{self._label(key)} tried to enter 'lock {name}:' while "
-                    f"already inside it — Tetra locks are not re-entrant, so "
-                    "this would wait forever",
-                    span,
-                )
-            if owner is not None:
-                stats.contended_acquisitions += 1
+            stats = self.stats.get(name)
+            if stats is None:
+                stats = self.stats[name] = LockStats()
             stats.acquisitions += 1
-            self._waiting[key] = name
-            self._waiting_spans[key] = span
-            wait_started = None
-            try:
-                while self._owners.get(name) is not None:
-                    if wait_started is None:
-                        wait_started = time.perf_counter()
-                        if on_block is not None:
-                            on_block()
-                    cancel = self.cancel
-                    if cancel is not None and cancel.cancelled:
-                        raise TetraCancelledError(
-                            f"the run was cancelled while {self._label(key)} "
-                            f"waited for 'lock {name}:' — {cancel.reason}",
-                            span,
-                        )
-                    # Checked at block time — the thread that closes a cycle
-                    # always sees it here — and again on every wakeup.
-                    cycle, blocked = self._find_cycle(key)
-                    if cycle:
-                        raise TetraDeadlockError(
-                            self._cycle_message(cycle), span,
-                            cycle=tuple(cycle),
-                            blocked_spans=tuple(blocked),
-                        )
-                    # Re-check the wake condition under the monitor right
-                    # before sleeping: if the owner released during the
-                    # cycle walk we must not park and eat a full fallback
-                    # poll waiting for a notify that already happened.
-                    if self._owners.get(name) is None:
-                        continue
-                    timeout = self.fallback_poll
-                    if cancel is not None:
-                        # Bound cancellation latency for parked threads.
-                        timeout = min(timeout, 0.05)
-                    self._changed.wait(timeout=timeout)
-                self._owners[name] = key
-                hook = self.grant_hook
-                if hook is not None:
-                    hook(name, key)
-            finally:
-                if wait_started is not None:
+            contended = name in self._owners
+            if contended:
+                stats.contended_acquisitions += 1
+                if on_block is not None:
+                    on_block()
+                self._waiting[key] = name
+                self._waiting_spans[key] = span
+                wait_started = time.perf_counter()
+                try:
+                    # A stopped run's waiter raises even if the lock was
+                    # just freed: the releaser may be a waiter unwinding.
+                    while self.stopped is None and name in self._owners:
+                        # Checked at block time — the thread that closes a
+                        # cycle always sees it here — and on every wakeup.
+                        cycle, blocked = self._find_cycle(key)
+                        if cycle:
+                            raise TetraDeadlockError(
+                                self._cycle_message(cycle), span,
+                                cycle=tuple(cycle),
+                                blocked_spans=tuple(blocked),
+                            )
+                        self._changed.wait(timeout=self.fallback_poll)
+                    if self.stopped is not None:
+                        raise self.stopped(span)
+                finally:
                     stats.wait_time += time.perf_counter() - wait_started
-                self._waiting.pop(key, None)
-                self._waiting_spans.pop(key, None)
+                    del self._waiting[key]
+                    del self._waiting_spans[key]
+            self._owners[name] = key
+            hook = self.grant_hook
+            if hook is not None:
+                hook(name, key)
+            return contended
 
     def release(self, name: str, key: ThreadKey) -> None:
         with self._changed:
@@ -175,6 +156,19 @@ class LockTable:
                 )
             del self._owners[name]
             self._changed.notify_all()
+
+    def stop(self, error_for) -> None:
+        """The run was stopped: every waiting acquire raises
+        ``error_for(span)`` with its ``lock`` statement's span."""
+        self.stopped = error_for
+        # A parked thread also re-checks at its fallback poll, and a signal
+        # handler may run this on the thread that holds the monitor, so
+        # wait for the monitor only briefly.
+        if self._monitor.acquire(timeout=0.1):
+            try:
+                self._changed.notify_all()
+            finally:
+                self._monitor.release()
 
     # ------------------------------------------------------------------
     def _find_cycle(

@@ -10,14 +10,13 @@ paper's 8-core speedup evaluation (DESIGN.md §2, §4).
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Sequence
 
-from ..errors import TetraDeadlockError
 from ..source import NO_SPAN, Span
 from .backend import Backend, Job, RuntimeConfig, raise_thread_failures
 from .cost import DEFAULT_COST_MODEL, CostModel
 from .machine import Machine, ScheduleResult, speedup_curve
-from .taskgraph import Task, TraceRecorder
+from .taskgraph import Acquire, Release, Task, TraceRecorder
 
 
 class SimBackend(Backend):
@@ -105,31 +104,21 @@ class SimBackend(Backend):
         workers = self.config.num_workers or self.cores
         return max(1, min(workers, n_items))
 
-    def lock(self, ctx, name: str, body: Callable[[], None],
-             span: Span = NO_SPAN) -> None:
-        cm = self.cost_model
-        obs = self.obs
-        t_req = self.now() if obs is not None else 0.0
-        self.recorder.current.charge(cm.lock_acquire)
-        if not self.recorder.acquire(name):
-            raise TetraDeadlockError(
-                f"{ctx.label} re-entered 'lock {name}:' it already holds — "
-                "Tetra locks are not re-entrant",
-                span,
-            )
+    def acquire(self, ctx, name: str, span: Span = NO_SPAN) -> bool:
+        # Recording is sequential, so it never waits; modelled waiting
+        # appears in the machine schedule.
+        task = self.recorder.current
+        task.charge(self.cost_model.lock_acquire)
+        task.items.append(Acquire(name))
         rec = self._schedule_rec
         if rec is not None:
             rec.grant(name, ctx.label)
-        t_acq = self.now() if obs is not None else 0.0
-        try:
-            body()
-        finally:
-            self.recorder.release(name)
-            self.recorder.current.charge(cm.lock_release)
-            if obs is not None:
-                # Recording is sequential; modelled waiting appears in the
-                # machine schedule, not here.
-                obs.lock_span(ctx.id, name, t_req, t_acq, self.now(), False)
+        return False
+
+    def release(self, ctx, name: str) -> None:
+        task = self.recorder.current
+        task.items.append(Release(name))
+        task.charge(self.cost_model.lock_release)
 
     # ------------------------------------------------------------------
     # Results

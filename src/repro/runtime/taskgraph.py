@@ -137,7 +137,6 @@ class TraceRecorder:
         #: The task being recorded (the top of the stack), which the sim
         #: backend charges directly.
         self.current: Task = self.root
-        self._held_locks: list[str] = []  # locks held by the *current* task
 
     def _new_task(self, label: str) -> Task:
         task = Task(self._next_id, label)
@@ -173,15 +172,3 @@ class TraceRecorder:
         """Record a shared-memory access (race-detection runs only)."""
         self.current.items.append(Access(name, write, span))
 
-    def acquire(self, name: str) -> bool:
-        """Record a lock acquisition.  Returns False if the current task
-        already holds ``name`` (certain self-deadlock; caller diagnoses)."""
-        if name in self._held_locks:
-            return False
-        self._held_locks.append(name)
-        self.current.items.append(Acquire(name))
-        return True
-
-    def release(self, name: str) -> None:
-        self._held_locks.remove(name)
-        self.current.items.append(Release(name))

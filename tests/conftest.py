@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import pathlib
+import subprocess
+import sys
 import textwrap
 
 import pytest
@@ -22,6 +26,22 @@ def run_output(text: str, inputs: list[str] | None = None, backend="thread",
     """Run dedented Tetra source and return raw output."""
     return run_source(textwrap.dedent(text), inputs=inputs, backend=backend,
                       config=config, **kwargs).output
+
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli(tmp_path, text: str, *args: str, timeout: float = 30):
+    """``tetra run`` of dedented Tetra source in a fresh process, killed
+    after ``timeout`` seconds (so a hang fails instead of stalling the
+    suite); returns the completed process."""
+    path = tmp_path / "prog.ttr"
+    path.write_text(textwrap.dedent(text).lstrip("\n"))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", "repro.tools.cli", "run", *args, path.name],
+        capture_output=True, text=True, timeout=timeout, env=env,
+        cwd=tmp_path)
 
 
 @pytest.fixture(autouse=True, scope="session")

@@ -284,9 +284,10 @@ def _race_hooks(invokers) -> set[tuple[str, str, str]]:
     A generated function's sites are the note helpers its source calls
     (``name``, ``elem`` or ``field``), each with the variable name, the
     array or dict display or the field name bound to its subject argument
-    and the kind of the note bound to its first.  A ``lock`` body that
-    reports to the detector is a ``_race_lock`` closure, with its lock's
-    name."""
+    and the kind of the note bound to its first.  A ``lock`` is the
+    interpreter's enter before a ``try`` and its exit in the ``finally``,
+    with the lock's name bound to both; it is a hook when that
+    interpreter's enter feeds a detector's lockset."""
     sources = {}
     for text, make in generate._cache.items():
         for const in make.__code__.co_consts:
@@ -316,8 +317,19 @@ def _race_hooks(invokers) -> set[tuple[str, str, str]]:
                     r"_note_(name|elem|field)\((_a\d+), _c, "
                     r"(?:_t\d+, ){0,2}(_a\d+),", text):
                 hooks.add((site, cells[subject], kind(cells[note])))
-        elif item.__qualname__ == "_Compiler._race_lock.<locals>.run":
-            hooks.add(("lock", cells["name"], "lock"))
+            exits = {stamp: (leave, name) for leave, name, stamp in
+                     re.findall(r"finally:\n +(_a\d+)\(_c, (_a\d+), "
+                                r"(_t\d+)\)", text)}
+            for stamp, enter, name in re.findall(
+                    r"(_t\d+) = (_a\d+)\(_c, (_a\d+), _a\d+\)\n +try:",
+                    text):
+                leave = cells[exits[stamp][0]]
+                assert exits[stamp][1] == name
+                assert cells[enter].__func__ is Interpreter._lock_enter
+                assert leave.__func__ is Interpreter._lock_exit
+                assert leave.__self__ is cells[enter].__self__
+                if cells[enter].__self__._race is not None:
+                    hooks.add(("lock", cells[name], "lock"))
     return hooks
 
 
@@ -327,8 +339,8 @@ class TestCompiledRaceDetection:
         detection, on the lean and the full statement prologue alike: each
         name, the array and the dict elements, and the field, read and
         written, while the immutable string and tuple elements stay
-        quiet; ``lock`` bodies report to the detector.  The hooked code is
-        what reports the race."""
+        quiet; a ``lock``'s enter and exit feed the detector's lockset.
+        The hooked code is what reports the race."""
         program, source = compile_source(EVERY_ACCESS_KIND)
         hooks = {
             *((site, subject, access)
@@ -347,9 +359,19 @@ class TestCompiledRaceDetection:
                 assert (_race_hooks(interp.compiled.functions.values())
                         == (hooks if detect else set()))
                 if detect:
+                    race = interp._race
+                    lockset = []
+                    for hook in ("acquire", "release"):
+                        def spy(tid, name, real=getattr(race, hook),
+                                hook=hook):
+                            lockset.append((hook, name))
+                            real(tid, name)
+
+                        setattr(race, hook, spy)
                     interp.run()
                     assert {r.variable for r in interp.races} \
                         == {"n", "xs[0]", "d['k']", "Box.v"}
+                    assert lockset == [("acquire", "m"), ("release", "m")] * 2
 
     def test_every_access_kind_reports_its_sites(self, any_backend):
         """Variable display, access kinds and both sites' line:column, in

@@ -20,6 +20,7 @@ its bound, and no program text reaches a generated source.
 
 import io
 import pathlib
+import re
 import sys
 import textwrap
 import tokenize
@@ -82,7 +83,8 @@ def _is_generated(text: str) -> bool:
     code."""
     generate._cache.clear()
     run_source(text, cache=False, backend="sequential", on_error="return")
-    return any(" in _i._iterate(" in source for source in generate._cache)
+    return any(re.search(r"\bfor _t\d+ in ", source)
+               for source in generate._cache)
 
 
 # ----------------------------------------------------------------------
@@ -266,6 +268,16 @@ def _nested_tries(depth: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _nested_locks(depth: int) -> str:
+    """Each lock body takes the next lock."""
+    lines = ["def main():", "    n = 0"]
+    for level in range(depth):
+        pad = "    " * (level + 1)
+        lines += [f"{pad}lock l{level}:", f"{pad}    n += 1"]
+    lines.append("    " * (depth + 1) + "print(n)")
+    return "\n".join(lines) + "\n"
+
+
 def _deep_calls(depth: int) -> str:
     """Builtin calls, tuple literals and tuple elements, nested."""
     return ("def main():\n    a = 1\n"
@@ -276,9 +288,10 @@ def _deep_calls(depth: int) -> str:
     (_nested_loops(24), "1\n"),
     (_deep_expression(400), "401\n1\n"),
     (_nested_tries(24), "24level 0\n"),
+    (_nested_locks(24), "24\n"),
     (_deep_calls(400), "1\n"),
 ], ids=["24 nested loops", "400-deep expression", "24 nested tries",
-        "400-deep calls"])
+        "24 nested locks", "400-deep calls"])
 def test_code_past_cpythons_nesting_limits_still_generates(text, output):
     """A body nested, or an expression deeper, than CPython compiles in one
     source becomes a generated function of its own: every source
@@ -333,6 +346,20 @@ def ctx(v int, _c int) int:
         _fv -= 100
     return _fv
 
+def globals(v int) int:
+    for KeyError in [1 ... 6]:
+        lock exec:
+            if KeyError == 2:
+                continue
+            if KeyError == 4:
+                break
+            v += KeyError
+    for KeyError in [1 ... 3]:
+        lock exec:
+            if KeyError == 2:
+                return v
+    return 0
+
 def main():
     v = "\"\"\""
     _a0 = "); import os"
@@ -341,6 +368,7 @@ def main():
     for KeyError in [1 ... 3]:
         os += ctx(KeyError, 40)
     print(v, _a0, _t1, os)
+    print(globals(os))
     box = import(os)
     box.exec += 1
     d = {"__import__": box.system(1), "); exec": 2}
@@ -365,6 +393,20 @@ def f(p int, q int) int:
         r -= 100
     return r
 
+def k(p int) int:
+    for i in [1 ... 6]:
+        lock q:
+            if i == 2:
+                continue
+            if i == 4:
+                break
+            p += i
+    for i in [1 ... 3]:
+        lock q:
+            if i == 2:
+                return p
+    return 0
+
 def main():
     s = "x"
     t = "y"
@@ -373,6 +415,7 @@ def main():
     for i in [1 ... 3]:
         w += f(i, 40)
     print(s, t, u, w)
+    print(k(w))
     o = P(w)
     o.f += 1
     e = {"a": o.m(1), "b": 2}
@@ -385,7 +428,8 @@ def main():
 
 #: Names of the hostile program's variables, functions, fields, methods
 #: and classes that must not reach a source.
-HOSTILE_NAMES = ("v", "ctx", "os", "import", "exec", "system", "eval", "box")
+HOSTILE_NAMES = ("v", "ctx", "os", "import", "exec", "system", "eval", "box",
+                 "globals")
 
 
 def _generated_sources(text: str, **knobs) -> set[str]:
@@ -398,7 +442,7 @@ def _generated_sources(text: str, **knobs) -> set[str]:
                          ids=["lean", "full", "budget"])
 def test_no_program_text_reaches_a_generated_source(knobs):
     output, sources = _generated_sources(HOSTILE, **knobs)
-    assert output == ('"""); import os\n126\n'
+    assert output == ('"""); import os\n126\n130\n'
                       '(eval, 128){); exec: 2, __import__: 128}\n')
     assert sources
     _, tame = _generated_sources(TAME, **knobs)

@@ -7,14 +7,44 @@ backends (thread, sequential, coop, sim) via the ``any_backend`` fixture —
 data-race-free programs must agree everywhere.
 """
 
+import importlib.util
+import re
 import textwrap
 
 import pytest
 
-from conftest import run, run_output
+from conftest import run, run_cli, run_output
 from repro.api import run_source
-from repro.errors import TetraRuntimeError, TetraThreadError
+from repro.compiler.native import find_compiler
+from repro.errors import (
+    EXIT_DEADLOCK,
+    TetraDeadlockError,
+    TetraRuntimeError,
+    TetraThreadError,
+)
 from repro.runtime import RuntimeConfig
+
+#: A ``parallel:`` child asks for the lock its joining parent holds.
+JOINED_CHILD = """
+    def main():
+        x = 1
+        lock a:
+            parallel:
+                lock a:
+                    x = 2
+        print(x)
+"""
+
+#: ``parallel for`` workers ask for the lock their joiner holds.
+JOINED_WORKER = """
+    def main():
+        s = 0
+        lock m:
+            parallel for i in [1 ... 100]:
+                lock m:
+                    s += i
+        print(s)
+"""
 
 
 class TestParallelBlock:
@@ -296,15 +326,74 @@ class TestLocks:
         """, backend=any_backend) == ["5"]
 
     def test_self_reentry_diagnosed(self, any_backend):
-        from repro.errors import TetraDeadlockError
-
-        with pytest.raises(TetraDeadlockError, match="not re-entrant|already"):
-            run("""
-                def main():
+        result = run_source(textwrap.dedent("""
+            def main():
+                lock a:
                     lock a:
+                        print("never")
+        """), backend=any_backend, on_error="return")
+        assert result.output == ""
+        assert isinstance(result.error, TetraDeadlockError)
+        assert result.error.render() == (
+            "<string>:4:9: deadlock: main thread re-entered 'lock a:' while "
+            "already inside it — Tetra locks are not re-entrant, so this "
+            "would wait forever\n"
+            "4 |         lock a:\n"
+            "  |         ^^^^")
+
+    # A thread that asks for a lock its joining thread holds would wait
+    # forever; it is refused at its own lock statement, with one
+    # diagnostic on every backend.  A fresh process with a hard timeout
+    # runs each, so a hang fails instead of stalling the suite.
+    @pytest.mark.parametrize("text, asker, lock", [
+        (JOINED_CHILD, "parallel thread 1 (line 5)", "a"),
+        (JOINED_WORKER, "worker 1 (parallel for, line 4)", "m"),
+    ], ids=["parallel child", "parallel for worker"])
+    def test_lock_held_by_the_joiner_diagnosed(self, any_backend, tmp_path,
+                                               text, asker, lock):
+        proc = run_cli(tmp_path, text, "--backend", any_backend,
+                       "--workers", "1")
+        assert (proc.returncode, proc.stdout) == (EXIT_DEADLOCK, "")
+        assert proc.stderr == (
+            f"prog.ttr:5:13: deadlock: {asker} asked for 'lock {lock}:', "
+            f"which main thread holds while it waits to join {asker}, so "
+            "this would wait forever\n"
+            f"5 |             lock {lock}:\n"
+            "  |             ^^^^\n")
+
+    def test_background_waits_for_a_lock_main_holds(self, any_backend):
+        # Nobody joins a background thread, so it just waits for main.
+        assert run("""
+            def main():
+                x = 0
+                lock a:
+                    background:
                         lock a:
-                            print("never")
-            """, backend=any_backend)
+                            x = 1
+                print("main done")
+        """, backend=any_backend) == ["main done"]
+
+    @pytest.mark.parametrize("knobs", [
+        {"backend": "proc"},
+        {"backend": "thread", "native": "require"},
+    ], ids=["proc", "native"])
+    def test_offloads_decline_a_lock_the_joiner_holds(self, knobs):
+        """The proc and native offloads fold a lock body into a reduction;
+        a loop whose workers ask for a lock their joiner holds runs
+        in-process instead, and is refused there."""
+        if knobs.get("native") and (find_compiler() is None
+                                    or importlib.util.find_spec("cffi")
+                                    is None):
+            pytest.skip("no C toolchain (compiler + cffi) on this machine")
+        result = run_source(textwrap.dedent(JOINED_WORKER).lstrip(),
+                            num_workers=2, cache=False, on_error="return",
+                            **knobs)
+        assert result.output == ""
+        assert isinstance(result.error, TetraDeadlockError)
+        assert re.fullmatch(
+            r"(worker [12] \(parallel for, line 4\)) asked for 'lock m:', "
+            r"which main thread holds while it waits to join \1, so this "
+            r"would wait forever", result.error.message)
 
     def test_lock_name_shares_nothing_with_variable(self, any_backend):
         # Lock names live in their own namespace (paper §II): a lock named

@@ -5,8 +5,10 @@ import time
 
 import pytest
 
-from repro.errors import TetraDeadlockError
+from conftest import run_cli
+from repro.errors import EXIT_LIMIT, TetraDeadlockError, TetraLimitError
 from repro.runtime.locks import LockTable
+from repro.source import Span
 
 
 class TestBasics:
@@ -38,11 +40,20 @@ class TestBasics:
             table.release("a", 2)
 
     def test_self_reentry_diagnosed(self):
+        # The interpreter refuses re-entry before any backend is asked; a
+        # direct caller that waits on its own lock closes the shortest
+        # cycle of the wait-for graph.
         table = LockTable()
         table.register_thread(1, "thread one")
         table.acquire("a", 1)
-        with pytest.raises(TetraDeadlockError, match="not re-entrant"):
+        with pytest.raises(TetraDeadlockError) as info:
             table.acquire("a", 1)
+        assert str(info.value) == (
+            "deadlock detected — these threads are waiting for each other "
+            "in a cycle: thread one waits for 'lock a'; 'lock a' is held by "
+            "thread one. Acquire locks in a consistent order to avoid this.")
+        assert info.value.cycle == ("thread one waits for 'lock a'",
+                                    "'lock a' is held by thread one")
 
     def test_reentry_message_names_thread(self):
         table = LockTable()
@@ -249,3 +260,57 @@ class TestEventDrivenWaiting:
         for t in threads:
             t.join(timeout=10)
         assert results
+
+
+class TestStoppedRun:
+    """A stopped run — a time limit, a cancel, ``Interpreter.stop()`` —
+    reaches threads parked on a lock, which poll no stop flag."""
+
+    def test_stop_wakes_a_parked_waiter(self, monkeypatch):
+        monkeypatch.setattr(LockTable, "FALLBACK_POLL", 60.0)
+        table = LockTable()
+        table.acquire("a", 1)
+        parked = threading.Event()
+        caught = []
+
+        def waiter():
+            try:
+                table.acquire("a", 2, Span(0, 4, 7, 5), on_block=parked.set)
+            except TetraLimitError as exc:
+                caught.append(exc)
+
+        t = threading.Thread(target=waiter, daemon=True)
+        t.start()
+        assert parked.wait(timeout=5)
+        table.stop(lambda span: TetraLimitError("stopped", span))
+        t.join(timeout=5)
+        assert not t.is_alive(), "the parked waiter was not woken"
+        assert [(e.message, e.span.line) for e in caught] == [("stopped", 7)]
+        assert table.holder_of("a") == 1
+
+    def test_time_limit_ends_a_lock_cycle_through_a_join(self, tmp_path):
+        # hold_l holds l and joins a child that wants m; hold_m holds m
+        # and wants l.  The join is not in the wait-for graph, so only
+        # the time limit can end the run.
+        proc = run_cli(tmp_path, """
+            def hold_l():
+                lock l:
+                    sleep(0.6)
+                    parallel:
+                        lock m:
+                            print("never")
+
+            def hold_m():
+                lock m:
+                    sleep(0.3)
+                    lock l:
+                        print("never")
+
+            def main():
+                parallel:
+                    hold_l()
+                    hold_m()
+        """, "--backend", "thread", "--time-limit", "2")
+        assert proc.returncode == EXIT_LIMIT, proc.stderr
+        assert proc.stdout == ""
+        assert "exceeded its time limit of 2 seconds" in proc.stderr

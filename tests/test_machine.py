@@ -172,11 +172,6 @@ class TestTaskGraph:
         assert rec.root.task_count() == 3
         assert rec.root.subtree_work() == 7
 
-    def test_self_reentry_detected_by_recorder(self):
-        rec = TraceRecorder()
-        assert rec.acquire("m") is True
-        assert rec.acquire("m") is False
-
     def test_critical_path_of_nested_forks(self):
         rec = TraceRecorder()
         rec.current.charge(10)
